@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DegenerateSlopeError, EmptyWordError, NonCoprimeError, NotBinaryError
-from .words import BINARY, Alphabet, Word, parikh
+from .errors import DegenerateSlopeError, EmptyWordError, NonCoprimeError, NotBinaryError, WordLengthOverflow
+from .words import BINARY, MAX_WORD_LENGTH, Alphabet, Word, parikh
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ def christoffel_word(slope: Slope, alphabet: Alphabet = BINARY) -> Word:
     _require_binary(alphabet)
     a, b = slope.a, slope.b
     n = a + b
+    if n > MAX_WORD_LENGTH:
+        raise WordLengthOverflow(f"word of length {n} exceeds the budget")
     letters = []
     prev = 0
     for k in range(1, n + 1):

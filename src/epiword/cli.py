@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 valid-but-negative answer (rejected tuple, no
 tuples found), 2 input or domain error. EPIWORD_MAX_DEPTH caps tree depth
-(default 12).
+(default 12 when unset or empty; other values must be non-negative integers).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import click
 from .christoffel import Slope, christoffel_word, path_labels, path_points, standard_factorization
 from .epichristoffel import (
     admissibility,
-    canonical_split,
     construct,
     format_trace,
+    split_construction,
     tuples_of_length,
 )
 from .errors import EpiwordError, NonCoprimeError
@@ -65,9 +65,12 @@ def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
 def _max_depth() -> int:
     raw = os.environ.get("EPIWORD_MAX_DEPTH", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_DEPTH
+        cap = int(raw) if raw else DEFAULT_MAX_DEPTH
     except ValueError:
-        return DEFAULT_MAX_DEPTH
+        cap = -1  # rejected below, with the negative values
+    if cap < 0:
+        _fail(f"EPIWORD_MAX_DEPTH must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def _check_depth(depth: int) -> None:
@@ -241,12 +244,16 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
     if show_trace:
         click.echo(format_trace(trace, alphabet))
         click.echo("admissible" if trace.admissible else "rejected")
+    if show_word or show_split:
+        try:
+            result = construct(p, alphabet)
+        except EpiwordError as exc:
+            _fail(str(exc))
     if show_word:
-        result = construct(p, alphabet)
         click.echo(f"c: {result.c_word} / epi: {result.epi_word}")
     if show_split:
         try:
-            split = canonical_split(p, alphabet)
+            split = split_construction(result)
         except EpiwordError as exc:
             _fail(str(exc))
         click.echo(f"({split.u}, {split.v})")

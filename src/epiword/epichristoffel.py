@@ -3,13 +3,18 @@
 An occurrence tuple admits an epichristoffel word exactly when repeatedly
 replacing its maximal entry p_i by p_i minus the sum of all other entries
 reaches a unit vector. Each reduction step contributes one ``Psi`` atom;
-applying the collected atoms to the letter left standing rebuilds a word in
-the conjugacy class, and its least rotation is the epichristoffel word.
+the atoms map the letter left standing to a word of the conjugacy class,
+whose least rotation is the epichristoffel word. That word is built from
+letter images: taking the atoms outermost first, a run Psi_a^q sets
+img[c] = img[a]^q img[c] for every c != a, one concatenation per letter and
+run, O(n + k*runs) in all. Just before the last atom, u = img[its letter]
+and v = img[terminal letter] are the canonical split, and the word is u*v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Literal, Sequence
 
 from .errors import (
@@ -20,7 +25,7 @@ from .errors import (
     TrivialTupleError,
     WordLengthOverflow,
 )
-from .morphisms import MorphismSeq, Psi, apply
+from .morphisms import MorphismSeq, Psi, is_pure_standard
 from .words import (
     MAX_WORD_LENGTH,
     Alphabet,
@@ -86,37 +91,26 @@ class CanonicalSplit:
     v_tuple: OccurrenceTuple
 
 
-def _argmax_indices(counts: Sequence[int]) -> tuple[list[int], int]:
-    top = max(counts)
-    return [i for i, c in enumerate(counts) if c == top], top
-
-
-def _choose_index(candidates: list[int], history: Sequence[int], tie_break: TieBreak) -> int:
-    if len(candidates) == 1:
-        return candidates[0]
-    if tie_break == "smallest":
+def _choose_index(candidates: list[int], history: Sequence[TStep], tie_break: TieBreak) -> int:
+    if len(candidates) == 1 or tie_break == "smallest":
         return candidates[0]
     if tie_break == "largest":
         return candidates[-1]
     # "recent": prefer the position reduced most recently; new positions last.
     members = set(candidates)
-    for idx in reversed(history):
-        if idx in members:
-            return idx
+    for step in reversed(history):
+        if step.index in members:
+            return step.index
     return candidates[0]
 
 
-def _t_step(p: OccurrenceTuple, history: Sequence[int], tie_break: TieBreak) -> tuple[OccurrenceTuple, int]:
-    candidates, top = _argmax_indices(p.counts)
+def _t_step(p: OccurrenceTuple, history: Sequence[TStep], tie_break: TieBreak) -> tuple[OccurrenceTuple, int]:
+    top = max(p.counts)
+    candidates = [i for i, c in enumerate(p.counts) if c == top]
     idx = _choose_index(candidates, history, tie_break)
     counts = list(p.counts)
     counts[idx] = top - (p.total() - top)
     return OccurrenceTuple(tuple(counts)), idx
-
-
-def _validate_tie_break(tie_break: str) -> None:
-    if tie_break not in _TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
 
 
 def t_operator(p: OccurrenceTuple) -> tuple[OccurrenceTuple, int]:
@@ -142,7 +136,8 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
     empirically independent of the tie-break rule; the rule only shapes the
     trace and therefore the constructed word.
     """
-    _validate_tie_break(tie_break)
+    if tie_break not in _TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
     if p.k < 2:
         raise ValueError("admissibility needs at least two entries")
     if any(c < 0 for c in p.counts):
@@ -151,7 +146,6 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
         raise AllZeroError("tuple has no nonzero entry")
 
     steps: list[TStep] = []
-    history: list[int] = []
     current = p
     for _ in range(p.total() + 1):
         nonzero = [i for i, c in enumerate(current.counts) if c != 0]
@@ -160,13 +154,21 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
             if current.counts[m] == 1:
                 return TTrace(p, tuple(steps), terminal=m, rejection=None)
             return TTrace(p, tuple(steps), terminal=None, rejection="stationary tuple")
-        after, idx = _t_step(current, history, tie_break)
+        after, idx = _t_step(current, steps, tie_break)
         steps.append(TStep(current, idx, after))
-        history.append(idx)
         if any(c < 0 for c in after.counts):
             return TTrace(p, tuple(steps), terminal=None, rejection="negative entry")
         current = after
     raise AssertionError(f"reduction of {p} did not terminate")
+
+
+def _split_images(atoms: Sequence[Psi], terminal: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letters of u and v. By Justin's formula Pal(wc) = Psi_w(c) Pal(w), no image outgrows u*v."""
+    img = [(c,) for c in range(k)]
+    for a, run in groupby(atom.letter for atom in atoms[:-1]):
+        head = img[a] * len(tuple(run))
+        img = [w if c == a else head + w for c, w in enumerate(img)]
+    return img[atoms[-1].letter], img[terminal]
 
 
 def construct(
@@ -176,9 +178,9 @@ def construct(
 ) -> ConstructionResult:
     """Build the word realizing an admissible tuple.
 
-    One ``Psi`` atom per reduction step, keyed by the reduced index, applied
-    to the terminal letter; the least rotation of the result is the unique
-    Lyndon representative of the conjugacy class.
+    One ``Psi`` atom per reduction step, keyed by the reduced index; the word,
+    the terminal letter's image, is built from letter images in O(n + k*runs).
+    Its least rotation is the unique Lyndon representative of the class.
     """
     trace = admissibility(p, tie_break)
     if not trace.admissible:
@@ -193,7 +195,8 @@ def construct(
     morphisms = MorphismSeq(tuple(Psi(step.index) for step in trace.steps))
     terminal = trace.terminal
     assert terminal is not None
-    c_word = apply(morphisms, Word((terminal,), alphabet))
+    u, v = _split_images(morphisms.atoms, terminal, p.k) if morphisms.atoms else ((), (terminal,))
+    c_word = Word(u + v, alphabet)
     assert parikh(c_word) == p, f"construction lost counts for {p}"
     epi_word, offset = least_rotation(c_word)
     return ConstructionResult(c_word, morphisms, terminal, epi_word, offset, trace)
@@ -209,23 +212,20 @@ def canonical_split(
     With atoms f1..fl and terminal letter t, u is the image of fl's letter
     and v the image of t under f1..f(l-1); then u*v is the constructed word.
     """
-    result = construct(p, alphabet, tie_break)
-    return split_construction(result)
+    return split_construction(construct(p, alphabet, tie_break))
 
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
-    """The canonical split of an already-built construction."""
+    """The canonical split of a built construction: its letter images before the last atom, O(n + k*runs)."""
     atoms = result.morphisms.atoms
     if not atoms:
         raise TrivialTupleError("unit tuples have no two-factor split")
+    assert is_pure_standard(atoms)
     alphabet = result.c_word.alphabet
-    prefix = atoms[:-1]
-    last = atoms[-1]
-    assert isinstance(last, Psi)
-    u = apply(prefix, Word((last.letter,), alphabet))
-    v = apply(prefix, Word((result.terminal_letter,), alphabet))
-    assert u + v == result.c_word
-    return CanonicalSplit(u, v, parikh(u), parikh(v))
+    u, v = _split_images(atoms, result.terminal_letter, alphabet.size)
+    assert u + v == result.c_word.letters
+    u_word, v_word = Word(u, alphabet), Word(v, alphabet)
+    return CanonicalSplit(u_word, v_word, parikh(u_word), parikh(v_word))
 
 
 def is_epichristoffel_word(w: Word) -> bool:
@@ -239,10 +239,10 @@ def is_epichristoffel_word(w: Word) -> bool:
         return True
     if w.alphabet.size < 2:
         return False
-    p = parikh(w)
-    if not admissibility(p).admissible:
+    try:
+        return construct(parikh(w), w.alphabet).epi_word == w
+    except NotAdmissibleError:
         return False
-    return construct(p, w.alphabet).epi_word == w
 
 
 def is_c_epichristoffel(w: Word) -> bool:

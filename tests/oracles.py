@@ -3,12 +3,26 @@
 These stay deliberately naive and separate from the library code paths they
 check: rotation minima by scanning every rotation, balance by comparing
 every factor pair, Christoffel words by enumerating lattice paths and
-filtering with the geometric definition.
+filtering with the geometric definition, epichristoffel words by rewriting
+the whole word once per ``Psi`` atom.
 """
 
 from itertools import combinations
 
-from epiword import BINARY, Word
+from epiword import (
+    BINARY,
+    CanonicalSplit,
+    ConstructionResult,
+    MorphismSeq,
+    OccurrenceTuple,
+    Psi,
+    Word,
+    admissibility,
+    default_alphabet,
+    least_rotation,
+    parikh,
+)
+from epiword.morphisms import apply
 
 
 def naive_least_rotation(w: Word) -> tuple[Word, int]:
@@ -67,3 +81,28 @@ def geometric_christoffel(a: int, b: int) -> Word:
             survivors.append(tuple(1 if s in ys else 0 for s in range(n)))
     assert len(survivors) == 1, f"slope {a}/{b}: {len(survivors)} tight paths"
     return Word(survivors[0], BINARY)
+
+
+def naive_construct(
+    p: OccurrenceTuple, tie_break: str = "recent"
+) -> tuple[ConstructionResult, CanonicalSplit | None]:
+    """Construction and canonical split of an admissible tuple, one atom at a time.
+
+    The atoms, applied innermost first, each rewrite the whole word, which is
+    quadratic in its length on long runs. The split applies all atoms but the
+    innermost to that atom's letter and to the terminal letter; unit tuples
+    have none.
+    """
+    trace = admissibility(p, tie_break)
+    assert trace.terminal is not None, f"{p} is not admissible"
+    alphabet = default_alphabet(p.k)
+    morphisms = MorphismSeq(tuple(Psi(step.index) for step in trace.steps))
+    c_word = apply(morphisms, Word((trace.terminal,), alphabet))
+    epi_word, offset = least_rotation(c_word)
+    result = ConstructionResult(c_word, morphisms, trace.terminal, epi_word, offset, trace)
+    if not morphisms.atoms:
+        return result, None
+    prefix, last = morphisms.atoms[:-1], morphisms.atoms[-1]
+    u = apply(prefix, Word((last.letter,), alphabet))
+    v = apply(prefix, Word((trace.terminal,), alphabet))
+    return result, CanonicalSplit(u, v, parikh(u), parikh(v))

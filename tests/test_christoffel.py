@@ -12,6 +12,7 @@ from epiword import (
     Slope,
     TERNARY,
     Word,
+    WordLengthOverflow,
     christoffel_word,
     is_balanced,
     is_christoffel,
@@ -53,6 +54,13 @@ def test_word_length_and_counts():
         w = christoffel_word(slope)
         assert len(w) == slope.a + slope.b
         assert parikh(w).counts == (slope.b, slope.a)
+
+
+def test_word_respects_length_budget(monkeypatch):
+    monkeypatch.setattr("epiword.christoffel.MAX_WORD_LENGTH", 10)
+    assert len(christoffel_word(Slope(3, 7))) == 10
+    with pytest.raises(WordLengthOverflow):
+        christoffel_word(Slope(4, 7))
 
 
 def test_word_matches_geometric_path_construction():

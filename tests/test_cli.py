@@ -23,6 +23,12 @@ def test_christoffel_rejects_non_coprime_slopes():
     assert "not coprime" in result.stderr
 
 
+def test_christoffel_rejects_words_over_the_length_budget():
+    result = run("christoffel", "1", "2000000")
+    assert result.exit_code == 2
+    assert "exceeds the budget" in result.stderr and result.stdout == ""
+
+
 def test_christoffel_custom_alphabet():
     result = run("christoffel", "4", "7", "--alphabet", "ab")
     assert result.output == "aabaabaabab\n"
@@ -55,6 +61,16 @@ def test_tuple_word_split_trace():
     assert result.output == "(zyz, zyzx)\n"
     result = run("tuple", "1,4,2", "--trace")
     assert result.output == "(1,4,2) ->y (1,1,2) ->z (1,1,0) ->y (1,0,0)\nadmissible\n"
+    result = run("tuple", "1,4,2", "--word", "--split")
+    assert result.exit_code == 0
+    assert result.output == "c: yzyyzyx / epi: xyzyyzy\n(yzy, yzyx)\n"
+
+
+def test_tuple_split_of_a_unit_tuple_is_an_error():
+    result = run("tuple", "0,1,0", "--word", "--split")
+    assert result.exit_code == 2
+    assert result.stdout == "c: y / epi: y\n"
+    assert result.stderr == "error: unit tuples have no two-factor split\n"
 
 
 def test_tuple_word_on_rejected_tuple_is_an_error():
@@ -91,6 +107,18 @@ def test_tree_depth_cap():
     assert "EPIWORD_MAX_DEPTH" in result.stderr
     result = run("tree", "christoffel", "--depth", "13")
     assert result.exit_code == 2
+    result = run("tree", "christoffel", "--depth", "1", env={"EPIWORD_MAX_DEPTH": ""})
+    assert result.exit_code == 0
+    result = run("tree", "christoffel", "--depth", "13", env={"EPIWORD_MAX_DEPTH": ""})
+    assert result.exit_code == 2 and "(12)" in result.stderr
+
+
+def test_tree_depth_cap_rejects_bad_settings():
+    for raw in ("abc", "-1", "1.5"):
+        result = run("tree", "christoffel", "--depth", "0", env={"EPIWORD_MAX_DEPTH": raw})
+        assert result.exit_code == 2, raw
+        assert "EPIWORD_MAX_DEPTH" in result.stderr and repr(raw) in result.stderr
+        assert result.stdout == ""
 
 
 def test_tree_json_roundtrip():

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiword import (
     AllZeroError,
@@ -9,14 +11,17 @@ from epiword import (
     NotAdmissibleError,
     NotEpichristoffelError,
     OccurrenceTuple,
+    Psi,
     Slope,
     TERNARY,
     TrivialTupleError,
+    Word,
     WordLengthOverflow,
     admissibility,
     canonical_split,
     christoffel_word,
     construct,
+    default_alphabet,
     epi_factorizations,
     format_trace,
     is_c_epichristoffel,
@@ -28,9 +33,12 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
+from epiword.epichristoffel import split_construction
 from epiword.morphisms import apply
+from oracles import naive_construct
 
 T = OccurrenceTuple
+TIE_BREAKS = ("recent", "smallest", "largest")
 
 
 def all_tuples(k, max_total, minimum=0):
@@ -144,6 +152,75 @@ def test_construct_respects_length_budget(monkeypatch):
     monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 10)
     with pytest.raises(WordLengthOverflow):
         construct(T((3, 8, 16)))
+
+
+@st.composite
+def grown_tuples(draw, max_total=2000):
+    """Admissible tuples grown from a unit vector by inverse reduction, in runs.
+
+    A run (a, q) adds the sum of the other entries to entry a, q times, which
+    gives a run of q equal atoms; entries never grown stay zero. Half the
+    tuples have runs of at most 2, the others runs of up to 500.
+    """
+    k = draw(st.integers(2, 5))
+    counts = [0] * k
+    counts[draw(st.integers(0, k - 1))] = 1
+    longest = draw(st.sampled_from((2, 500)))
+    runs = st.tuples(st.integers(0, k - 1), st.integers(1, longest))
+    for a, q in draw(st.lists(runs, min_size=1, max_size=20)):
+        for _ in range(q):
+            rest = sum(counts) - counts[a]
+            if rest == 0 or sum(counts) + rest > max_total:
+                break
+            counts[a] += rest
+    return T(tuple(counts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grown_tuples())
+def test_construct_and_split_match_the_per_atom_oracle(p):
+    for rule in TIE_BREAKS:
+        expected, expected_split = naive_construct(p, rule)
+        r = construct(p, tie_break=rule)
+        assert r == expected
+        if expected_split is None:
+            with pytest.raises(TrivialTupleError):
+                split_construction(r)
+        else:
+            assert split_construction(r) == expected_split
+
+
+def test_construction_never_rewrites_per_atom(monkeypatch):
+    def refuse(atom, w):
+        raise AssertionError("construction rewrote the word atom by atom")
+
+    monkeypatch.setattr("epiword.morphisms.apply_atom", refuse)
+    n = 100_000
+    r = construct(T((1, 1, 2 * n)))
+    s = split_construction(r)
+    z = (2,) * n
+    assert (s.u.letters, s.v.letters) == (z + (0,), z + (1,))
+    assert r.c_word == s.u + s.v
+    assert r.epi_word.letters == (0,) + z + (1,) + z
+
+
+def test_letter_images_never_outgrow_the_word():
+    # construct holds every letter's image under all atoms but the last, so
+    # this keeps them within the length budget checked on the tuple total.
+    # With w those atoms' letters, Justin's formula Pal(wc) = Psi_w(c) Pal(w)
+    # gives |Psi_w(c)| <= |Pal(w)| + 1 for every c, and induction on the last
+    # occurrences in w of the last atom's letter and of the terminal letter
+    # gives |u| + |v| >= |Pal(w)| + 1.
+    for k, max_total in ((3, 20), (4, 11)):
+        alphabet = default_alphabet(k)
+        for p in all_tuples(k, max_total):
+            for rule in TIE_BREAKS:
+                trace = admissibility(p, rule)
+                if not trace.admissible or not trace.steps:
+                    continue
+                prefix = [Psi(step.index) for step in trace.steps[:-1]]
+                longest = max(len(apply(prefix, Word((c,), alphabet))) for c in range(k))
+                assert longest <= p.total()
 
 
 def test_construct_on_unit_tuple_gives_the_letter():
