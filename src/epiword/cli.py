@@ -1,8 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 valid-but-negative answer (rejected tuple, no
-tuples found), 2 input or domain error. EPIWORD_MAX_DEPTH caps tree depth
-(default 12 when unset or empty; other values must be non-negative integers).
+tuples found), 2 input or domain error: every library error (EpiwordError,
+ValueError) exits 2 with ``error: <message>`` from one handler on the group.
+EPIWORD_MAX_DEPTH caps tree depth (default 12 when unset or empty; other
+values must be non-negative integers); ``christoffel --draw`` refuses grids
+of more than MAX_WORD_LENGTH cells.
 """
 
 from __future__ import annotations
@@ -22,21 +25,20 @@ from .epichristoffel import (
     split_construction,
     tuples_of_length,
 )
-from .errors import EpiwordError, NonCoprimeError
+from .errors import EpiwordError, WordLengthOverflow
 from .morphisms import apply as apply_morphisms
 from .morphisms import parse_morphisms
 from .trees import (
     CLASSICAL_SEED,
     TreeNode,
+    _walk_to_tuple,
     christoffel_tree,
     diagonal,
     epichristoffel_tree,
-    path_to_tuple,
     sb_level_stream,
     stern_brocot_levels,
-    tree_levels,
 )
-from .words import Alphabet, OccurrenceTuple, default_alphabet, parikh
+from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet, parikh
 
 DEFAULT_MAX_DEPTH = 12
 
@@ -46,23 +48,20 @@ def _fail(message: str) -> None:
     sys.exit(2)
 
 
-def _parse_tuple(text: str) -> OccurrenceTuple:
-    try:
-        return OccurrenceTuple.parse(text)
-    except ValueError as exc:
-        _fail(str(exc))
-        raise AssertionError  # unreachable
-
-
 def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
-    try:
-        return Alphabet(symbols) if symbols else default_alphabet(k)
-    except ValueError as exc:
-        _fail(str(exc))
-        raise AssertionError
+    return Alphabet(symbols) if symbols else default_alphabet(k)
 
 
-def _max_depth() -> int:
+def _seed(root_counts: str | None, symbols: str | None) -> tuple:
+    """The classical fraction seed, or the split tuples of the epi tree rooted at ROOT_COUNTS."""
+    if root_counts is None:
+        return CLASSICAL_SEED
+    p = OccurrenceTuple.parse(root_counts)
+    root = epichristoffel_tree(p, _alphabet_for(p.k, symbols))
+    return parikh(root.u), parikh(root.v)
+
+
+def _check_depth(depth: int) -> None:
     raw = os.environ.get("EPIWORD_MAX_DEPTH", "")
     try:
         cap = int(raw) if raw else DEFAULT_MAX_DEPTH
@@ -70,11 +69,6 @@ def _max_depth() -> int:
         cap = -1  # rejected below, with the negative values
     if cap < 0:
         _fail(f"EPIWORD_MAX_DEPTH must be a non-negative integer, got {raw!r}")
-    return cap
-
-
-def _check_depth(depth: int) -> None:
-    cap = _max_depth()
     if depth < 0:
         _fail("depth must be non-negative")
     if depth > cap:
@@ -90,20 +84,6 @@ def tree_to_dict(node: TreeNode, depth: int) -> dict:
         "tuple": list(parikh(node.word).counts),
         "children": children,
     }
-
-
-def tree_from_dict(data: dict, alphabet: Alphabet) -> TreeNode:
-    """Rebuild the root node from its JSON form; children must obey the child rule."""
-    node = TreeNode(alphabet.word(data["u"]), alphabet.word(data["v"]))
-    children = data.get("children", [])
-    if children:
-        if len(children) != 2:
-            raise ValueError("word-tree nodes have zero or two children")
-        left = tree_from_dict(children[0], alphabet)
-        right = tree_from_dict(children[1], alphabet)
-        if (left, right) != node.children():
-            raise ValueError(f"children of {node} do not follow the child rule")
-    return node
 
 
 def _render_word_tree_text(node: TreeNode, depth: int, indent: int = 0) -> list[str]:
@@ -131,6 +111,7 @@ def _render_word_tree_dot(node: TreeNode, depth: int, name: str = "tree") -> str
 
 
 def _emit_word_tree(node: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> None:
+    # Each renderer builds its whole string first: an overflow exits 2 before any output.
     if fmt == "text":
         click.echo("\n".join(_render_word_tree_text(node, depth)))
     elif fmt == "json":
@@ -140,23 +121,19 @@ def _emit_word_tree(node: TreeNode, depth: int, fmt: str, alphabet: Alphabet) ->
         click.echo(_render_word_tree_dot(node, depth))
 
 
-def _sb_entry_str(entry) -> str:
-    return str(entry)
-
-
 def _emit_sb_levels(levels, fmt: str) -> None:
     if fmt == "text":
         for level in levels:
-            click.echo(f"level {level.index}: " + ", ".join(_sb_entry_str(e) for e in level.entries))
+            click.echo(f"level {level.index}: " + ", ".join(str(e) for e in level.entries))
     elif fmt == "json":
-        payload = {"levels": [[_sb_entry_str(e) for e in level.entries] for level in levels]}
+        payload = {"levels": [[str(e) for e in level.entries] for level in levels]}
         click.echo(json.dumps(payload))
     else:
         # Level i entry p has children 2p and 2p+1 on level i+1.
         lines = ["digraph sb {"]
         for level in levels:
             for pos, entry in enumerate(level.entries):
-                lines.append(f'  "n{level.index}_{pos}" [label="{_sb_entry_str(entry)}"];')
+                lines.append(f'  "n{level.index}_{pos}" [label="{entry}"];')
                 if level.index > 1:
                     lines.append(f'  "n{level.index - 1}_{pos // 2}" -> "n{level.index}_{pos}";')
         lines.append("}")
@@ -164,6 +141,9 @@ def _emit_sb_levels(levels, fmt: str) -> None:
 
 
 def _draw_path(slope: Slope) -> str:
+    cells = (slope.a + 1) * (slope.b + 1)
+    if cells > MAX_WORD_LENGTH:
+        raise WordLengthOverflow(f"drawing of {cells} cells exceeds the budget")
     points = set(path_points(slope))
     rows = []
     for j in range(slope.a, -1, -1):
@@ -171,7 +151,17 @@ def _draw_path(slope: Slope) -> str:
     return "\n".join(rows)
 
 
-@click.group()
+class _Group(click.Group):
+    """The one error path: library errors exit 2 with ``error: <message>``."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (EpiwordError, ValueError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Christoffel and epichristoffel word toolkit."""
 
@@ -191,18 +181,10 @@ def christoffel_cmd(
     alphabet = _alphabet_for(2, symbols)
     if alphabet.size != 2:
         _fail("christoffel words need a two-letter alphabet")
-    try:
-        slope = Slope(a, b)
-    except NonCoprimeError as exc:
-        _fail(str(exc))
-    except ValueError as exc:
-        _fail(str(exc))
-    try:
-        word = christoffel_word(slope, alphabet)
-        split = standard_factorization(slope, alphabet) if factorize else None
-        label_seq = path_labels(slope, alphabet) if labels else None
-    except EpiwordError as exc:
-        _fail(str(exc))
+    slope = Slope(a, b)
+    word = christoffel_word(slope, alphabet)
+    split = standard_factorization(slope, alphabet) if factorize else None
+    label_seq = path_labels(slope, alphabet) if labels else None
     if fmt == "json":
         payload: dict = {"slope": str(slope), "word": str(word)}
         if split:
@@ -231,31 +213,20 @@ def christoffel_cmd(
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, symbols: str | None) -> None:
     """Admissibility verdict for the occurrence tuple COUNTS (e.g. 1,2,4)."""
-    p = _parse_tuple(counts)
+    p = OccurrenceTuple.parse(counts)
     alphabet = _alphabet_for(p.k, symbols)
-    try:
-        trace = admissibility(p)
-    except EpiwordError as exc:
-        _fail(str(exc))
-    except ValueError as exc:
-        _fail(str(exc))
+    trace = admissibility(p)
     if (show_word or show_split) and not trace.admissible:
         _fail(f"{p} is not admissible: {trace.rejection}")
     if show_trace:
         click.echo(format_trace(trace, alphabet))
         click.echo("admissible" if trace.admissible else "rejected")
     if show_word or show_split:
-        try:
-            result = construct(p, alphabet)
-        except EpiwordError as exc:
-            _fail(str(exc))
+        result = construct(p, alphabet)
     if show_word:
         click.echo(f"c: {result.c_word} / epi: {result.epi_word}")
     if show_split:
-        try:
-            split = split_construction(result)
-        except EpiwordError as exc:
-            _fail(str(exc))
+        split = split_construction(result)
         click.echo(f"({split.u}, {split.v})")
     if not (show_trace or show_word or show_split):
         click.echo("admissible" if trace.admissible else "rejected")
@@ -272,45 +243,20 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
 def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: str | None) -> None:
     """Emit a tree of the chosen KIND."""
     _check_depth(depth)
+    if kind == "sb":
+        # Stern-Brocot: classical fractions, or the tuple tree of an epi root.
+        _emit_sb_levels(stern_brocot_levels(_seed(root_counts, symbols), depth), fmt)
+        return
     if kind == "christoffel":
         alphabet = _alphabet_for(2, symbols)
-        try:
-            root = christoffel_tree(alphabet)
-            tree_levels(root, depth)
-        except EpiwordError as exc:
-            _fail(str(exc))
-        except ValueError as exc:
-            _fail(str(exc))
-        _emit_word_tree(root, depth, fmt, alphabet)
-        return
-    if root_counts is None and kind == "epi":
+        root = christoffel_tree(alphabet)
+    elif root_counts is None:
         _fail("epi trees need --root")
-    if kind == "epi":
-        p = _parse_tuple(root_counts)
-        alphabet = _alphabet_for(p.k, symbols)
-        try:
-            root = epichristoffel_tree(p, alphabet)
-            tree_levels(root, depth)
-        except EpiwordError as exc:
-            _fail(str(exc))
-        _emit_word_tree(root, depth, fmt, alphabet)
-        return
-    # Stern-Brocot: classical fractions, or the tuple tree of an epi root.
-    if root_counts is None:
-        seed = CLASSICAL_SEED
     else:
-        p = _parse_tuple(root_counts)
+        p = OccurrenceTuple.parse(root_counts)
         alphabet = _alphabet_for(p.k, symbols)
-        try:
-            root = epichristoffel_tree(p, alphabet)
-        except EpiwordError as exc:
-            _fail(str(exc))
-        seed = (parikh(root.u), parikh(root.v))
-    try:
-        levels = stern_brocot_levels(seed, depth)
-    except EpiwordError as exc:
-        _fail(str(exc))
-    _emit_sb_levels(levels, fmt)
+        root = epichristoffel_tree(p, alphabet)
+    _emit_word_tree(root, depth, fmt, alphabet)
 
 
 @main.command("find")
@@ -319,16 +265,9 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def find_cmd(root_counts: str, target_counts: str, symbols: str | None) -> None:
     """Path from the tree root to TARGET and the word found there."""
-    p = _parse_tuple(root_counts)
-    target = _parse_tuple(target_counts)
-    alphabet = _alphabet_for(p.k, symbols)
-    try:
-        path = path_to_tuple(p, target, alphabet)
-        node = epichristoffel_tree(p, alphabet)
-        for step in path:
-            node = node.left() if step == "L" else node.right()
-    except EpiwordError as exc:
-        _fail(str(exc))
+    p = OccurrenceTuple.parse(root_counts)
+    target = OccurrenceTuple.parse(target_counts)
+    path, node = _walk_to_tuple(p, target, _alphabet_for(p.k, symbols))
     click.echo(" ".join(path) if path else "(root)")
     click.echo(str(node.word))
 
@@ -342,8 +281,10 @@ def exists_cmd(n: int, k: int, all_letters: bool, limit: int | None) -> None:
     """List admissible K-tuples whose entries sum to LENGTH."""
     if n < 1 or k < 2:
         _fail("need --length >= 1 and --k >= 2")
+    if limit is not None and limit < 0:
+        _fail("need --max >= 0")
     found = tuples_of_length(n, k, all_letters)
-    for p in found if limit is None else found[:limit]:
+    for p in found[:limit]:
         click.echo(",".join(str(c) for c in p.counts))
     if not found:
         sys.exit(1)
@@ -356,12 +297,8 @@ def exists_cmd(n: int, k: int, all_letters: bool, limit: int | None) -> None:
 def apply_cmd(morphisms: str, word: str, symbols: str) -> None:
     """Apply a morphism sequence such as "psi_y psi_z psi_y" to WORD."""
     alphabet = _alphabet_for(len(symbols), symbols)
-    try:
-        seq = parse_morphisms(morphisms, alphabet)
-        image = apply_morphisms(seq, alphabet.word(word))
-    except (EpiwordError, ValueError) as exc:
-        _fail(str(exc))
-    click.echo(str(image))
+    seq = parse_morphisms(morphisms, alphabet)
+    click.echo(str(apply_morphisms(seq, alphabet.word(word))))
 
 
 @main.command("diagonal")
@@ -374,16 +311,7 @@ def diagonal_cmd(side: str, k: int, count: int, root_counts: str | None, symbols
     """Stream diagonal entries of a Stern-Brocot tree, one per line."""
     if k < 1 or count < 1:
         _fail("need --k >= 1 and --count >= 1")
-    if root_counts is None:
-        seed = CLASSICAL_SEED
-    else:
-        p = _parse_tuple(root_counts)
-        alphabet = _alphabet_for(p.k, symbols)
-        try:
-            root = epichristoffel_tree(p, alphabet)
-        except EpiwordError as exc:
-            _fail(str(exc))
-        seed = (parikh(root.u), parikh(root.v))
+    seed = _seed(root_counts, symbols)
     for entry in islice(diagonal(sb_level_stream(seed), side, k), count):
         click.echo(str(entry))
 

@@ -291,6 +291,8 @@ def format_trace(trace: TTrace, alphabet: Alphabet | None = None) -> str:
     """Arrow rendering, e.g. ``(1,4,2) ->y (1,1,2) ->z (1,1,0) ->y (1,0,0)``."""
     if alphabet is None:
         alphabet = default_alphabet(trace.start.k)
+    if alphabet.size < trace.start.k:
+        raise ValueError(f"alphabet size {alphabet.size} is smaller than tuple length {trace.start.k}")
     parts = [str(trace.start)]
     for step in trace.steps:
         parts.append(f"->{alphabet.symbols[step.index]}")

@@ -39,12 +39,10 @@ class TreeNode:
         return self.u + self.v
 
     def left(self) -> "TreeNode":
-        w = self._concat()
-        return TreeNode(self.u, w)
+        return TreeNode(self.u, self._concat())
 
     def right(self) -> "TreeNode":
-        w = self._concat()
-        return TreeNode(w, self.v)
+        return TreeNode(self._concat(), self.v)
 
     def children(self) -> tuple["TreeNode", "TreeNode"]:
         return self.left(), self.right()
@@ -98,19 +96,21 @@ def mediant(a: SBEntry, b: SBEntry) -> SBEntry:
     raise DimensionMismatchError("mediant needs two fractions or two equal-length tuples")
 
 
+def _insert_mediants(seq: list[SBEntry]) -> list[SBEntry]:
+    """One round of mediant insertion: the old entries, with a mediant between each pair."""
+    merged = [seq[0]] * (2 * len(seq) - 1)
+    merged[0::2] = seq
+    merged[1::2] = [mediant(a, b) for a, b in zip(seq, seq[1:])]
+    return merged
+
+
 def sb_level_stream(seed: tuple[SBEntry, SBEntry]) -> Iterator[SBLevel]:
     """Levels 1, 2, ... of the mediant tree grown from the seed pair, forever."""
     seq: list[SBEntry] = [seed[0], seed[1]]
     index = 1
     while True:
-        inserted = [mediant(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        merged: list[SBEntry] = []
-        for old, new in zip(seq, inserted):
-            merged.append(old)
-            merged.append(new)
-        merged.append(seq[-1])
-        seq = merged
-        yield SBLevel(index, tuple(inserted))
+        seq = _insert_mediants(seq)
+        yield SBLevel(index, tuple(seq[1::2]))
         index += 1
 
 
@@ -125,13 +125,7 @@ def sb_sequence(seed: tuple[SBEntry, SBEntry], iterations: int) -> list[SBEntry]
     """The full sequence after ``iterations`` rounds of mediant insertion."""
     seq: list[SBEntry] = [seed[0], seed[1]]
     for _ in range(iterations):
-        inserted = [mediant(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        merged: list[SBEntry] = []
-        for old, new in zip(seq, inserted):
-            merged.append(old)
-            merged.append(new)
-        merged.append(seq[-1])
-        seq = merged
+        seq = _insert_mediants(seq)
     return seq
 
 
@@ -303,12 +297,12 @@ def _solve_seed_combination(
     raise NotInTreeError("seed tuples are linearly dependent")
 
 
-def path_to_tuple(
+def _walk_to_tuple(
     root_tuple: OccurrenceTuple,
     target: OccurrenceTuple,
     alphabet: Alphabet | None = None,
-) -> list[Side]:
-    """Root-to-node steps reaching the node whose word has counts ``target``.
+) -> tuple[list[Side], TreeNode]:
+    """The root-to-node steps to the node with counts ``target``, and that node.
 
     Writes target as alpha*pu + beta*pv over the root's split tuples, then
     runs the subtractive walk: alpha > beta records L and drops beta from
@@ -333,7 +327,16 @@ def path_to_tuple(
     for step in path:
         node = node.left() if step == "L" else node.right()
     assert parikh(node.word) == target
-    return path
+    return path, node
+
+
+def path_to_tuple(
+    root_tuple: OccurrenceTuple,
+    target: OccurrenceTuple,
+    alphabet: Alphabet | None = None,
+) -> list[Side]:
+    """Root-to-node steps reaching the node whose word has counts ``target``."""
+    return _walk_to_tuple(root_tuple, target, alphabet)[0]
 
 
 def resolve_epichristoffel(
@@ -342,11 +345,7 @@ def resolve_epichristoffel(
     alphabet: Alphabet | None = None,
 ) -> Word:
     """The word at the tree node whose counts equal ``target``."""
-    path = path_to_tuple(root_tuple, target, alphabet)
-    node = epichristoffel_tree(root_tuple, alphabet)
-    for step in path:
-        node = node.left() if step == "L" else node.right()
-    return node.word
+    return _walk_to_tuple(root_tuple, target, alphabet)[1].word
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,28 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from epiword import TERNARY, epichristoffel_tree, OccurrenceTuple, tree_levels
-from epiword.cli import main, tree_from_dict, tree_to_dict
+from epiword import TERNARY, Alphabet, TreeNode, epichristoffel_tree, OccurrenceTuple, tree_levels
+from epiword.cli import main, tree_to_dict
 
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
+
+
+def tree_from_dict(data: dict, alphabet: Alphabet) -> TreeNode:
+    """Rebuild the root node from its JSON form; children must obey the child rule."""
+    node = TreeNode(alphabet.word(data["u"]), alphabet.word(data["v"]))
+    children = data.get("children", [])
+    if children:
+        if len(children) != 2:
+            raise ValueError("word-tree nodes have zero or two children")
+        left = tree_from_dict(children[0], alphabet)
+        right = tree_from_dict(children[1], alphabet)
+        if (left, right) != node.children():
+            raise ValueError(f"children of {node} do not follow the child rule")
+    return node
 
 
 def test_christoffel_word_and_factorization():
@@ -186,3 +201,50 @@ def test_commands_are_deterministic():
         first, second = run(*args), run(*args)
         assert first.output == second.output
         assert first.exit_code == second.exit_code
+
+
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        # Alphabets that do not fit the tuple once a word or trace is built.
+        (("tuple", "1,2,4", "--alphabet", "ab", "--word"), ""),
+        (("tuple", "1,2,4", "--alphabet", "ab", "--split"), ""),
+        (("tuple", "1,2,4", "--alphabet", "ab", "--trace"), ""),
+        (("tuple", "1,2,4", "--alphabet", "xyzw", "--word"), ""),
+        (("tree", "epi", "--root", "1,2,4", "--alphabet", "ab"), ""),
+        (("tree", "sb", "--root", "1,2,4", "--alphabet", "xyzw"), ""),
+        (("find", "--root", "1,2,4", "--target", "3,8,16", "--alphabet", "ab"), ""),
+        (("diagonal", "--side", "R", "--k", "1", "--root", "1,2,4", "--alphabet", "ab"), ""),
+        # The trace is printed before construction finds the alphabet too large.
+        (("tuple", "1,2,4", "--alphabet", "xyzw", "--trace", "--word"),
+         "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\n"),
+        # Input bounds.
+        (("christoffel", "40", "41", "--draw"), ""),
+        (("exists", "--length", "7", "--k", "3", "--max", "-1"), ""),
+    ],
+)
+def test_library_errors_exit_2_with_one_message(monkeypatch, args, stdout):
+    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 1000)
+    result = run(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == stdout
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_draw_cap_applies_only_when_the_path_is_drawn(monkeypatch):
+    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 1000)
+    assert run("christoffel", "30", "31", "--draw").exit_code == 0  # 31 * 32 cells
+    result = run("christoffel", "40", "41", "--draw")
+    assert result.stderr == "error: drawing of 1722 cells exceeds the budget\n"
+    for args in (("40", "41"), ("40", "41", "--factorize"), ("40", "41", "--draw", "--format", "json")):
+        assert run("christoffel", *args).exit_code == 0, args
+
+
+def test_trace_keeps_working_with_a_larger_alphabet():
+    result = run("tuple", "1,2,4", "--alphabet", "xyzw", "--trace")
+    assert result.exit_code == 0
+    assert result.output == "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\n"
+    result = run("tuple", "1,2,4", "--alphabet", "ab")
+    assert result.exit_code == 0 and result.output == "admissible\n"
