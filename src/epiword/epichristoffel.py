@@ -2,39 +2,26 @@
 
 An occurrence tuple admits an epichristoffel word exactly when repeatedly
 replacing its maximal entry p_i by p_i minus the sum of all other entries
-reaches a unit vector. Each reduction step contributes one ``Psi`` atom;
-the atoms map the letter left standing to a word of the conjugacy class,
-whose least rotation is the epichristoffel word. That word is built from
-letter images: taking the atoms outermost first, a run Psi_a^q sets
-img[c] = img[a]^q img[c] for every c != a, one concatenation per letter and
-run, O(n + k*runs) in all. Just before the last atom, u = img[its letter]
-and v = img[terminal letter] are the canonical split, and the word is u*v.
+reaches a unit vector: a subtractive Euclid algorithm, run here by division.
+The q steps that reduce one index in a row are one run (i, q), found by one
+division, so a trace holds O(k log max) runs and expands its steps on demand.
+Each step is one ``Psi`` atom; the atoms map the letter left standing to a
+word whose least rotation is the epichristoffel word. It is built from letter
+images: taking the runs outermost first, Psi_a^q sets img[c] = img[a]^q img[c]
+for c != a, O(n + k*runs) in all. Before the last atom, u = img[its letter]
+and v = img[terminal] are the canonical split, and the word is u*v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Literal, Sequence
+from functools import cached_property
+from typing import Iterator, Literal, Sequence
 
-from .errors import (
-    AllZeroError,
-    EmptyWordError,
-    NotAdmissibleError,
-    NotEpichristoffelError,
-    TrivialTupleError,
-    WordLengthOverflow,
-)
-from .morphisms import MorphismSeq, Psi, is_pure_standard
-from .words import (
-    MAX_WORD_LENGTH,
-    Alphabet,
-    OccurrenceTuple,
-    Word,
-    default_alphabet,
-    least_rotation,
-    parikh,
-)
+from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
+from .errors import TrivialTupleError, WordLengthOverflow
+from .morphisms import MorphismSeq, Psi
+from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, default_alphabet, least_rotation, parikh
 
 TieBreak = Literal["recent", "smallest", "largest"]
 
@@ -54,19 +41,39 @@ class TStep:
 class TTrace:
     """Full reduction record for a tuple.
 
+    ``runs`` lists (index, q): the index reduced q times in a row.
     ``terminal`` is the unit-vector index when the iteration succeeds;
     ``rejection`` names the failure otherwise (a negative entry, or a
     stationary tuple c*e_m with c > 1 that the reduction fixes forever).
     """
 
     start: OccurrenceTuple
-    steps: tuple[TStep, ...]
+    runs: tuple[tuple[int, int], ...]
     terminal: int | None
     rejection: str | None
 
     @property
     def admissible(self) -> bool:
         return self.terminal is not None
+
+    @cached_property
+    def steps(self) -> tuple[TStep, ...]:
+        """The runs expanded into one step each, built on first use."""
+        steps = []
+        for i, q, top, rest, left, right in _run_walk(self):
+            tuples = [OccurrenceTuple((*left, top - j * rest, *right)) for j in range(q + 1)]
+            steps.extend(TStep(tuples[j], i, tuples[j + 1]) for j in range(q))
+        return tuple(steps)
+
+
+def _run_walk(trace: TTrace) -> Iterator[tuple[int, int, int, int, list[int], list[int]]]:
+    """Per run (i, q): i, q, entry i before the run, what each step takes off it, the entries left and right of i."""
+    counts = list(trace.start.counts)
+    for i, q in trace.runs:
+        top = counts[i]
+        rest = sum(counts) - top
+        yield i, q, top, rest, counts[:i], counts[i + 1 :]
+        counts[i] = top - q * rest
 
 
 @dataclass(frozen=True)
@@ -91,26 +98,16 @@ class CanonicalSplit:
     v_tuple: OccurrenceTuple
 
 
-def _choose_index(candidates: list[int], history: Sequence[TStep], tie_break: TieBreak) -> int:
-    if len(candidates) == 1 or tie_break == "smallest":
+def _choose_index(candidates: list[int], runs: Sequence[tuple[int, int]], tie_break: TieBreak) -> int:
+    if tie_break == "smallest":
         return candidates[0]
     if tie_break == "largest":
         return candidates[-1]
     # "recent": prefer the position reduced most recently; new positions last.
-    members = set(candidates)
-    for step in reversed(history):
-        if step.index in members:
-            return step.index
+    for index, _ in reversed(runs):
+        if index in candidates:
+            return index
     return candidates[0]
-
-
-def _t_step(p: OccurrenceTuple, history: Sequence[TStep], tie_break: TieBreak) -> tuple[OccurrenceTuple, int]:
-    top = max(p.counts)
-    candidates = [i for i, c in enumerate(p.counts) if c == top]
-    idx = _choose_index(candidates, history, tie_break)
-    counts = list(p.counts)
-    counts[idx] = top - (p.total() - top)
-    return OccurrenceTuple(tuple(counts)), idx
 
 
 def t_operator(p: OccurrenceTuple) -> tuple[OccurrenceTuple, int]:
@@ -123,18 +120,24 @@ def t_operator(p: OccurrenceTuple) -> tuple[OccurrenceTuple, int]:
         raise ValueError("reduction needs at least two entries")
     if all(c == 0 for c in p.counts):
         raise AllZeroError("tuple has no nonzero entry")
-    if max(p.counts) <= 0:
+    top = max(p.counts)
+    if top <= 0:
         raise ValueError("reduction needs at least one positive entry")
-    return _t_step(p, (), "smallest")
+    idx = p.counts.index(top)
+    return OccurrenceTuple(p.counts[:idx] + (2 * top - p.total(),) + p.counts[idx + 1 :]), idx
 
 
 def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
-    """Iterate the reduction on ``p`` until a unit vector or a failure.
+    """Iterate the reduction on ``p``, one run per division, until a unit vector or a failure.
 
-    The sum of entries strictly decreases while two entries are positive, so
-    the iteration always stops within ``p.total()`` steps. The verdict is
-    empirically independent of the tie-break rule; the rule only shapes the
-    trace and therefore the constructed word.
+    While entry i = top is the unique maximum, each step takes off rest, the
+    sum of the others, so i is reduced q = (top - second - 1) // rest + 1
+    times in a row, until the largest other entry, second, ties or passes it.
+    Every step but the last leaves i above second >= 0, so only the last can
+    go negative. A tie is a run of one, on the index the tie-break picks.
+    There are at most ``p.total()`` steps. The verdict is empirically
+    independent of the tie-break rule; the rule only shapes the trace and
+    therefore the constructed word.
     """
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
@@ -145,41 +148,44 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
     if all(c == 0 for c in p.counts):
         raise AllZeroError("tuple has no nonzero entry")
 
-    steps: list[TStep] = []
-    current = p
+    counts = list(p.counts)
+    runs: list[tuple[int, int]] = []
     for _ in range(p.total() + 1):
-        nonzero = [i for i, c in enumerate(current.counts) if c != 0]
+        nonzero = [i for i, c in enumerate(counts) if c != 0]
         if len(nonzero) == 1:
-            m = nonzero[0]
-            if current.counts[m] == 1:
-                return TTrace(p, tuple(steps), terminal=m, rejection=None)
-            return TTrace(p, tuple(steps), terminal=None, rejection="stationary tuple")
-        after, idx = _t_step(current, steps, tie_break)
-        steps.append(TStep(current, idx, after))
-        if any(c < 0 for c in after.counts):
-            return TTrace(p, tuple(steps), terminal=None, rejection="negative entry")
-        current = after
+            if counts[nonzero[0]] == 1:
+                return TTrace(p, tuple(runs), terminal=nonzero[0], rejection=None)
+            return TTrace(p, tuple(runs), terminal=None, rejection="stationary tuple")
+        second, top = sorted(counts)[-2:]
+        rest = sum(counts) - top
+        if second == top:
+            i, q = _choose_index([j for j, c in enumerate(counts) if c == top], runs, tie_break), 1
+        else:
+            i, q = counts.index(top), (top - second - 1) // rest + 1
+        counts[i] = top - q * rest
+        runs.append((i, q))
+        if counts[i] < 0:
+            return TTrace(p, tuple(runs), terminal=None, rejection="negative entry")
     raise AssertionError(f"reduction of {p} did not terminate")
 
 
-def _split_images(atoms: Sequence[Psi], terminal: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _split_images(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Letters of u and v. By Justin's formula Pal(wc) = Psi_w(c) Pal(w), no image outgrows u*v."""
+    *outer, (last, q) = runs
     img = [(c,) for c in range(k)]
-    for a, run in groupby(atom.letter for atom in atoms[:-1]):
-        head = img[a] * len(tuple(run))
+    for a, n in (*outer, (last, q - 1)):
+        head = img[a] * n
         img = [w if c == a else head + w for c, w in enumerate(img)]
-    return img[atoms[-1].letter], img[terminal]
+    return img[last], img[terminal]
 
 
 def construct(
-    p: OccurrenceTuple,
-    alphabet: Alphabet | None = None,
-    tie_break: TieBreak = "recent",
+    p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
 ) -> ConstructionResult:
     """Build the word realizing an admissible tuple.
 
     One ``Psi`` atom per reduction step, keyed by the reduced index; the word,
-    the terminal letter's image, is built from letter images in O(n + k*runs).
+    the terminal letter's image, is built from the trace's runs in O(n + k*runs).
     Its least rotation is the unique Lyndon representative of the class.
     """
     trace = admissibility(p, tie_break)
@@ -192,20 +198,19 @@ def construct(
     if p.total() > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {p.total()} exceeds the budget")
 
-    morphisms = MorphismSeq(tuple(Psi(step.index) for step in trace.steps))
+    psi = [Psi(a) for a in range(p.k)]
+    atoms = [atom for a, q in trace.runs for atom in [psi[a]] * q]
     terminal = trace.terminal
     assert terminal is not None
-    u, v = _split_images(morphisms.atoms, terminal, p.k) if morphisms.atoms else ((), (terminal,))
+    u, v = _split_images(trace.runs, terminal, p.k) if trace.runs else ((), (terminal,))
     c_word = Word(u + v, alphabet)
     assert parikh(c_word) == p, f"construction lost counts for {p}"
     epi_word, offset = least_rotation(c_word)
-    return ConstructionResult(c_word, morphisms, terminal, epi_word, offset, trace)
+    return ConstructionResult(c_word, MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
 
 
 def canonical_split(
-    p: OccurrenceTuple,
-    alphabet: Alphabet | None = None,
-    tie_break: TieBreak = "recent",
+    p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
 ) -> CanonicalSplit:
     """Split the constructed word by peeling the innermost atom.
 
@@ -217,12 +222,11 @@ def canonical_split(
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
     """The canonical split of a built construction: its letter images before the last atom, O(n + k*runs)."""
-    atoms = result.morphisms.atoms
-    if not atoms:
+    runs = result.trace.runs
+    if not runs:
         raise TrivialTupleError("unit tuples have no two-factor split")
-    assert is_pure_standard(atoms)
     alphabet = result.c_word.alphabet
-    u, v = _split_images(atoms, result.terminal_letter, alphabet.size)
+    u, v = _split_images(runs, result.terminal_letter, alphabet.size)
     assert u + v == result.c_word.letters
     u_word, v_word = Word(u, alphabet), Word(v, alphabet)
     return CanonicalSplit(u_word, v_word, parikh(u_word), parikh(v_word))
@@ -278,13 +282,8 @@ def tuples_of_length(n: int, k: int, require_all_letters: bool = False) -> list[
     """All admissible k-tuples with entry sum n, in lexicographic order."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    minimum = 1 if require_all_letters else 0
-    out = []
-    for counts in _compositions(n, k, minimum):
-        candidate = OccurrenceTuple(counts)
-        if admissibility(candidate).admissible:
-            out.append(candidate)
-    return out
+    candidates = map(OccurrenceTuple, _compositions(n, k, 1 if require_all_letters else 0))
+    return [p for p in candidates if admissibility(p).admissible]
 
 
 def format_trace(trace: TTrace, alphabet: Alphabet | None = None) -> str:
@@ -294,9 +293,10 @@ def format_trace(trace: TTrace, alphabet: Alphabet | None = None) -> str:
     if alphabet.size < trace.start.k:
         raise ValueError(f"alphabet size {alphabet.size} is smaller than tuple length {trace.start.k}")
     parts = [str(trace.start)]
-    for step in trace.steps:
-        parts.append(f"->{alphabet.symbols[step.index]}")
-        parts.append(str(step.after))
+    for i, q, top, rest, left, right in _run_walk(trace):
+        head = f"->{alphabet.symbols[i]} (" + "".join(f"{c}," for c in left)
+        tail = "".join(f",{c}" for c in right) + ")"
+        parts.extend(head + str(top - j * rest) + tail for j in range(1, q + 1))
     return " ".join(parts)
 
 

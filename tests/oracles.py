@@ -3,10 +3,12 @@
 These stay deliberately naive and separate from the library code paths they
 check: rotation minima by scanning every rotation, balance by comparing
 every factor pair, Christoffel words by enumerating lattice paths and
-filtering with the geometric definition, epichristoffel words by rewriting
-the whole word once per ``Psi`` atom.
+filtering with the geometric definition, admissibility by one subtraction
+per reduction step, epichristoffel words by rewriting the whole word once
+per ``Psi`` atom.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from epiword import (
@@ -16,12 +18,14 @@ from epiword import (
     MorphismSeq,
     OccurrenceTuple,
     Psi,
+    TStep,
     Word,
     admissibility,
     default_alphabet,
     least_rotation,
     parikh,
 )
+from epiword.errors import AllZeroError
 from epiword.morphisms import apply
 
 
@@ -81,6 +85,73 @@ def geometric_christoffel(a: int, b: int) -> Word:
             survivors.append(tuple(1 if s in ys else 0 for s in range(n)))
     assert len(survivors) == 1, f"slope {a}/{b}: {len(survivors)} tight paths"
     return Word(survivors[0], BINARY)
+
+
+@dataclass(frozen=True)
+class NaiveTrace:
+    start: OccurrenceTuple
+    steps: tuple[TStep, ...]
+    terminal: int | None
+    rejection: str | None
+
+    def text(self) -> str:
+        """The arrow rendering of ``format_trace``, one step at a time."""
+        alphabet = default_alphabet(self.start.k)
+        parts = [str(self.start)]
+        for step in self.steps:
+            parts.append(f"->{alphabet.symbols[step.index]}")
+            parts.append(str(step.after))
+        return " ".join(parts)
+
+
+def _choose_index(candidates, history, tie_break):
+    if len(candidates) == 1 or tie_break == "smallest":
+        return candidates[0]
+    if tie_break == "largest":
+        return candidates[-1]
+    # "recent": prefer the position reduced most recently; new positions last.
+    members = set(candidates)
+    for step in reversed(history):
+        if step.index in members:
+            return step.index
+    return candidates[0]
+
+
+def _t_step(p, history, tie_break):
+    top = max(p.counts)
+    candidates = [i for i, c in enumerate(p.counts) if c == top]
+    idx = _choose_index(candidates, history, tie_break)
+    counts = list(p.counts)
+    counts[idx] = top - (p.total() - top)
+    return OccurrenceTuple(tuple(counts)), idx
+
+
+def naive_admissibility(p: OccurrenceTuple, tie_break: str = "recent") -> NaiveTrace:
+    """The reduction one subtraction at a time, one ``TStep`` per step."""
+    if tie_break not in ("recent", "smallest", "largest"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    if p.k < 2:
+        raise ValueError("admissibility needs at least two entries")
+    if any(c < 0 for c in p.counts):
+        raise ValueError("admissibility is defined for non-negative tuples")
+    if all(c == 0 for c in p.counts):
+        raise AllZeroError("tuple has no nonzero entry")
+
+    steps: list[TStep] = []
+    current = p
+    for _ in range(p.total() + 1):
+        nonzero = [i for i, c in enumerate(current.counts) if c != 0]
+        if len(nonzero) == 1:
+            m = nonzero[0]
+            if current.counts[m] == 1:
+                return NaiveTrace(p, tuple(steps), terminal=m, rejection=None)
+            return NaiveTrace(p, tuple(steps), terminal=None, rejection="stationary tuple")
+        after, idx = _t_step(current, steps, tie_break)
+        steps.append(TStep(current, idx, after))
+        if any(c < 0 for c in after.counts):
+            return NaiveTrace(p, tuple(steps), terminal=None, rejection="negative entry")
+        current = after
+    raise AssertionError(f"reduction of {p} did not terminate")
 
 
 def naive_construct(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -79,6 +80,21 @@ def test_tuple_word_split_trace():
     result = run("tuple", "1,4,2", "--word", "--split")
     assert result.exit_code == 0
     assert result.output == "c: yzyyzyx / epi: xyzyyzy\n(yzy, yzyx)\n"
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout, stderr",
+    [
+        (("tuple", "1,1,20000000"), 0, "admissible\n", ""),
+        (("tuple", "1,1,20000000", "--word"), 2, "", "error: word of length 20000002 exceeds the budget\n"),
+    ],
+    ids=["verdict", "word"],
+)
+def test_tuple_on_a_huge_total_finishes_within_two_seconds(args, code, stdout, stderr):
+    start = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - start < 2.0
+    assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
 
 
 def test_tuple_split_of_a_unit_tuple_is_an_error():

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiword import (
@@ -35,7 +35,7 @@ from epiword import (
 )
 from epiword.epichristoffel import split_construction
 from epiword.morphisms import apply
-from oracles import naive_construct
+from oracles import naive_admissibility, naive_construct
 
 T = OccurrenceTuple
 TIE_BREAKS = ("recent", "smallest", "largest")
@@ -190,11 +190,61 @@ def test_construct_and_split_match_the_per_atom_oracle(p):
             assert split_construction(r) == expected_split
 
 
+@st.composite
+def near_misses(draw, max_total=10_000):
+    """A grown tuple with one entry moved by one, kept non-negative and nonzero."""
+    counts = list(draw(grown_tuples(max_total)).counts)
+    i = draw(st.integers(0, len(counts) - 1))
+    counts[i] = max(0, counts[i] + draw(st.sampled_from((-1, 1))))
+    assume(any(counts))
+    return T(tuple(counts))
+
+
+@st.composite
+def tied_tuples(draw):
+    """Small random tuples with zeros, some with one entry copied onto another to force a tie."""
+    k = draw(st.integers(2, 5))
+    entry = st.sampled_from((0, 0, 1, 2, 3)) | st.integers(0, 5000)
+    counts = draw(st.lists(entry, min_size=k, max_size=k).filter(any))
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, k - 1))] = max(counts)
+    return T(tuple(counts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grown_tuples(10_000) | near_misses() | tied_tuples())
+def test_run_length_reduction_matches_the_step_by_step_oracle(p):
+    for rule in TIE_BREAKS:
+        expected = naive_admissibility(p, rule)
+        trace = admissibility(p, rule)
+        assert trace.admissible == (expected.terminal is not None)
+        assert (trace.terminal, trace.rejection) == (expected.terminal, expected.rejection)
+        assert trace.steps == expected.steps
+        assert format_trace(trace) == expected.text()
+        assert sum(q for _, q in trace.runs) == len(expected.steps)
+
+
+def refuse_steps(*args):
+    raise AssertionError("a trace was expanded step by step")
+
+
+def test_verdict_costs_runs_not_steps(monkeypatch):
+    assert len(admissibility(T((1, 1, 10**7))).runs) <= 3
+    monkeypatch.setattr("epiword.epichristoffel.TStep", refuse_steps)
+    trace = admissibility(T((1, 1, 200_000)))
+    assert trace.admissible and format_trace(trace).count("->") == 100_001
+    # 363 of them use every letter, as frozen in criterion 06
+    assert sum(all(p.counts) for p in tuples_of_length(60, 3)) == 363
+    monkeypatch.undo()
+    assert len(admissibility(T((1, 1, 10**5))).steps) == 50_001
+
+
 def test_construction_never_rewrites_per_atom(monkeypatch):
     def refuse(atom, w):
         raise AssertionError("construction rewrote the word atom by atom")
 
     monkeypatch.setattr("epiword.morphisms.apply_atom", refuse)
+    monkeypatch.setattr("epiword.epichristoffel.TStep", refuse_steps)
     n = 100_000
     r = construct(T((1, 1, 2 * n)))
     s = split_construction(r)
