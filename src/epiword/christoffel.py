@@ -102,16 +102,16 @@ def path_labels(slope: Slope, alphabet: Alphabet = BINARY) -> list[PathLabel]:
 def standard_factorization(slope: Slope, alphabet: Alphabet = BINARY) -> tuple[Word, Word]:
     """Split the Christoffel word at the unique interior point with label 1/b.
 
-    Both factors are themselves Christoffel words.
+    That point (i, j) solves i*a - j*b = 1, so i is the inverse of a mod b
+    (1 when b = 1) and it lies i + j letters into the word. Both factors are
+    themselves Christoffel words.
     """
     if slope.a == 0 or slope.b == 0:
         raise DegenerateSlopeError(f"slope {slope} has no interior split point")
-    labels = path_labels(slope, alphabet)
-    cuts = [pos for pos, label in enumerate(labels) if label.numerator == 1]
-    # gcd(a, b) = 1 makes the label-1/b point unique.
-    assert len(cuts) == 1, f"expected one split point for {slope}, found {len(cuts)}"
+    a, b = slope.a, slope.b
+    i = pow(a, -1, b) if b > 1 else 1
+    cut = i + (i * a - 1) // b
     word = christoffel_word(slope, alphabet)
-    cut = cuts[0]
     return word[:cut], word[cut:]
 
 

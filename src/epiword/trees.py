@@ -15,14 +15,14 @@ from itertools import islice
 from math import gcd
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
-from .epichristoffel import TieBreak, construct, is_epichristoffel_word, split_construction
+from .epichristoffel import TieBreak, construct, epi_factorizations, is_epichristoffel_word, split_construction
 from .errors import (
     DimensionMismatchError,
     NotInTreeError,
     RootSelectionError,
     WordLengthOverflow,
 )
-from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, parikh
+from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, least_rotation, parikh
 
 Side = Literal["L", "R"]
 
@@ -141,21 +141,19 @@ def epichristoffel_tree(
     alphabet: Alphabet | None = None,
     tie_break: TieBreak = "recent",
 ) -> TreeNode:
-    """Root of the epichristoffel tree for an admissible tuple.
+    """Root of the epichristoffel tree for an admissible tuple, from one construction.
 
-    The tuple's word w is cut after |u| or |v| letters, whichever prefix
-    equals the epichristoffel word of the corresponding split tuple; exactly
-    one does.
+    The tuple's word w is cut after |u| or |v| letters of its split, whichever
+    prefix equals the epichristoffel word of that part's tuple; exactly one does.
     """
     built = construct(p, alphabet, tie_break)
     split = split_construction(built)
     w = built.epi_word
-    matching_cuts = set()
-    for part in (split.u, split.v):
-        cut = len(part)
-        part_word = construct(parikh(part), w.alphabet, tie_break).epi_word
-        if w[:cut] == part_word:
-            matching_cuts.add(cut)
+    # A part is a letter image, so it lies in the epichristoffel class of its
+    # own tuple (Paquin 2010), whose least rotation is that tuple's word.
+    matching_cuts = {
+        len(part) for part in (split.u, split.v) if w[: len(part)] == least_rotation(part)[0]
+    }
     if len(matching_cuts) != 1:
         raise RootSelectionError(
             f"expected exactly one matching prefix for {p}, got cuts {sorted(matching_cuts)}"
@@ -305,27 +303,31 @@ def _walk_to_tuple(
     """The root-to-node steps to the node with counts ``target``, and that node.
 
     Writes target as alpha*pu + beta*pv over the root's split tuples, then
-    runs the subtractive walk: alpha > beta records L and drops beta from
-    alpha, beta > alpha records R and drops alpha from beta. The emitted
-    steps already read root to node; the walk consumes the leading run of
-    the path first, like the continued-fraction expansion of alpha/beta.
+    walks by runs, one division each, as in the continued fraction of
+    alpha/beta: while alpha > beta, q = (alpha-1)//beta steps L take (u, v)
+    to (u, u^q v) and alpha to alpha - q*beta; a run of R gives (u v^q, v).
     """
     root = epichristoffel_tree(root_tuple, alphabet)
     pu, pv = parikh(root.u), parikh(root.v)
     alpha, beta = _solve_seed_combination(pu, pv, target)
     if alpha < 1 or beta < 1 or gcd(alpha, beta) != 1:
         raise NotInTreeError(f"{target} needs coprime positive coefficients, got ({alpha}, {beta})")
+    if target.total() > MAX_WORD_LENGTH:
+        raise WordLengthOverflow(f"word of length {target.total()} exceeds the budget")
     path: list[Side] = []
+    u, v = root.u.letters, root.v.letters
     while (alpha, beta) != (1, 1):
         if alpha > beta:
-            path.append("L")
-            alpha -= beta
+            q = (alpha - 1) // beta
+            path += ["L"] * q
+            v = u * q + v
+            alpha -= q * beta
         else:
-            path.append("R")
-            beta -= alpha
-    node = root
-    for step in path:
-        node = node.left() if step == "L" else node.right()
+            q = (beta - 1) // alpha
+            path += ["R"] * q
+            u = u + v * q
+            beta -= q * alpha
+    node = TreeNode(Word(u, root.u.alphabet), Word(v, root.v.alphabet))
     assert parikh(node.word) == target
     return path, node
 
@@ -385,8 +387,6 @@ def classify_factorizability(
     alphabet: Alphabet | None = None,
 ) -> FactorizabilityReport:
     """Classify every node to ``depth`` and probe the rightmost spine."""
-    from .epichristoffel import epi_factorizations
-
     root = epichristoffel_tree(root_tuple, alphabet)
     entries = []
     for level in tree_levels(root, depth):

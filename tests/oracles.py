@@ -5,11 +5,14 @@ check: rotation minima by scanning every rotation, balance by comparing
 every factor pair, Christoffel words by enumerating lattice paths and
 filtering with the geometric definition, admissibility by one subtraction
 per reduction step, epichristoffel words by rewriting the whole word once
-per ``Psi`` atom.
+per ``Psi`` atom, Christoffel splits by scanning every path label, tree
+roots by building each part's word anew, and tree paths by one subtraction
+and one node per step.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from epiword import (
     BINARY,
@@ -18,15 +21,22 @@ from epiword import (
     MorphismSeq,
     OccurrenceTuple,
     Psi,
+    Slope,
+    TreeNode,
     TStep,
     Word,
     admissibility,
+    christoffel_word,
+    construct,
     default_alphabet,
     least_rotation,
     parikh,
+    path_labels,
 )
-from epiword.errors import AllZeroError
+from epiword.epichristoffel import split_construction
+from epiword.errors import AllZeroError, NotInTreeError, RootSelectionError
 from epiword.morphisms import apply
+from epiword.trees import _solve_seed_combination
 
 
 def naive_least_rotation(w: Word) -> tuple[Word, int]:
@@ -177,3 +187,55 @@ def naive_construct(
     u = apply(prefix, Word((last.letter,), alphabet))
     v = apply(prefix, Word((trace.terminal,), alphabet))
     return result, CanonicalSplit(u, v, parikh(u), parikh(v))
+
+
+def naive_standard_factorization(slope: Slope, alphabet=BINARY) -> tuple[Word, Word]:
+    """Split the Christoffel word where a scan of every path label finds 1/b."""
+    labels = path_labels(slope, alphabet)
+    cuts = [pos for pos, label in enumerate(labels) if label.numerator == 1]
+    # gcd(a, b) = 1 makes the label-1/b point unique.
+    assert len(cuts) == 1, f"expected one split point for {slope}, found {len(cuts)}"
+    word = christoffel_word(slope, alphabet)
+    cut = cuts[0]
+    return word[:cut], word[cut:]
+
+
+def naive_epichristoffel_tree(p: OccurrenceTuple, alphabet=None, tie_break: str = "recent") -> TreeNode:
+    """Tree root whose prefix test constructs each split part's tuple anew."""
+    built = construct(p, alphabet, tie_break)
+    split = split_construction(built)
+    w = built.epi_word
+    matching_cuts = set()
+    for part in (split.u, split.v):
+        cut = len(part)
+        part_word = construct(parikh(part), w.alphabet, tie_break).epi_word
+        if w[:cut] == part_word:
+            matching_cuts.add(cut)
+    if len(matching_cuts) != 1:
+        raise RootSelectionError(
+            f"expected exactly one matching prefix for {p}, got cuts {sorted(matching_cuts)}"
+        )
+    cut = matching_cuts.pop()
+    return TreeNode(w[:cut], w[cut:])
+
+
+def naive_walk_to_tuple(root_tuple: OccurrenceTuple, target: OccurrenceTuple, alphabet=None):
+    """Tree path and node by one subtraction, then one ``left``/``right``, per step."""
+    root = naive_epichristoffel_tree(root_tuple, alphabet)
+    pu, pv = parikh(root.u), parikh(root.v)
+    alpha, beta = _solve_seed_combination(pu, pv, target)
+    if alpha < 1 or beta < 1 or gcd(alpha, beta) != 1:
+        raise NotInTreeError(f"{target} needs coprime positive coefficients, got ({alpha}, {beta})")
+    path = []
+    while (alpha, beta) != (1, 1):
+        if alpha > beta:
+            path.append("L")
+            alpha -= beta
+        else:
+            path.append("R")
+            beta -= alpha
+    node = root
+    for step in path:
+        node = node.left() if step == "L" else node.right()
+    assert parikh(node.word) == target
+    return path, node

@@ -21,7 +21,7 @@ from epiword import (
     path_labels,
     standard_factorization,
 )
-from oracles import geometric_christoffel
+from oracles import geometric_christoffel, naive_standard_factorization
 
 
 def coprime_slopes(max_total):
@@ -103,6 +103,14 @@ def test_standard_factorization_examples():
     assert tuple(map(str, standard_factorization(Slope(1, 1)))) == ("x", "y")
     assert tuple(map(str, standard_factorization(Slope(4, 7)))) == ("xxy", "xxyxxyxy")
     assert tuple(map(str, standard_factorization(Slope(1, 2)))) == ("x", "xy")
+
+
+def test_standard_factorization_matches_the_label_scan():
+    for a in range(1, 151):
+        for b in range(1, 151):
+            if gcd(a, b) == 1:
+                slope = Slope(a, b)
+                assert standard_factorization(slope) == naive_standard_factorization(slope)
 
 
 def test_standard_factorization_rejects_degenerate_slopes():

@@ -87,8 +87,15 @@ def test_tuple_word_split_trace():
     [
         (("tuple", "1,1,20000000"), 0, "admissible\n", ""),
         (("tuple", "1,1,20000000", "--word"), 2, "", "error: word of length 20000002 exceeds the budget\n"),
+        # (2001, 2002) and (100000, 1) times the root's split tuples (1,1,2) and (0,1,2)
+        (("find", "--root", "1,2,4", "--target", "2001,4003,8006"), 0,
+         " ".join(["R"] + ["L"] * 2000) + "\n" + "xzyzzyz" * 2001 + "zyz\n", ""),
+        (("find", "--root", "1,2,4", "--target", "100000,100001,200002"), 0,
+         " ".join(["L"] * 99_999) + "\n" + "xzyz" * 100_000 + "zyz\n", ""),
+        (("find", "--root", "1,2,4", "--target", "10000000,10000001,20000002"), 2, "",
+         "error: word of length 40000003 exceeds the budget\n"),
     ],
-    ids=["verdict", "word"],
+    ids=["verdict", "word", "find", "find-long-run", "find-over-budget"],
 )
 def test_tuple_on_a_huge_total_finishes_within_two_seconds(args, code, stdout, stderr):
     start = time.perf_counter()

@@ -36,6 +36,7 @@ from epiword import (
 from epiword.epichristoffel import split_construction
 from epiword.morphisms import apply
 from oracles import naive_admissibility, naive_construct
+from strategies import grown_tuples
 
 T = OccurrenceTuple
 TIE_BREAKS = ("recent", "smallest", "largest")
@@ -152,28 +153,6 @@ def test_construct_respects_length_budget(monkeypatch):
     monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 10)
     with pytest.raises(WordLengthOverflow):
         construct(T((3, 8, 16)))
-
-
-@st.composite
-def grown_tuples(draw, max_total=2000):
-    """Admissible tuples grown from a unit vector by inverse reduction, in runs.
-
-    A run (a, q) adds the sum of the other entries to entry a, q times, which
-    gives a run of q equal atoms; entries never grown stay zero. Half the
-    tuples have runs of at most 2, the others runs of up to 500.
-    """
-    k = draw(st.integers(2, 5))
-    counts = [0] * k
-    counts[draw(st.integers(0, k - 1))] = 1
-    longest = draw(st.sampled_from((2, 500)))
-    runs = st.tuples(st.integers(0, k - 1), st.integers(1, longest))
-    for a, q in draw(st.lists(runs, min_size=1, max_size=20)):
-        for _ in range(q):
-            rest = sum(counts) - counts[a]
-            if rest == 0 or sum(counts) + rest > max_total:
-                break
-            counts[a] += rest
-    return T(tuple(counts))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,11 +2,14 @@ from itertools import islice
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiword import (
     BINARY,
     CLASSICAL_SEED,
     DimensionMismatchError,
+    EpiwordError,
     Fraction,
     NotAdmissibleError,
     NotInTreeError,
@@ -16,6 +19,7 @@ from epiword import (
     WordLengthOverflow,
     christoffel_tree,
     classify_factorizability,
+    construct,
     diagonal,
     diagonal_sum_check,
     epichristoffel_tree,
@@ -32,9 +36,12 @@ from epiword import (
     tree_isomorphism_check,
     tree_levels,
 )
-from epiword.trees import sb_sequence
+from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
+from oracles import naive_epichristoffel_tree, naive_walk_to_tuple
+from strategies import grown_tuples
 
 T = OccurrenceTuple
+TIE_BREAKS = ("recent", "smallest", "largest")
 
 
 def frs(entries):
@@ -251,6 +258,76 @@ def test_path_to_tuple_rejections():
         path_to_tuple(T((1, 2, 4)), T((0, 1, 2)))  # needs alpha = 0
     with pytest.raises(NotInTreeError):
         path_to_tuple(T((1, 2, 4)), T((1, 2)))
+    with pytest.raises(WordLengthOverflow, match="^word of length 40000003 exceeds the budget$"):
+        path_to_tuple(T((1, 2, 4)), T((10_000_000, 10_000_001, 20_000_002)))
+    with pytest.raises(NotInTreeError):  # the tree checks come before the budget
+        path_to_tuple(T((1, 2, 4)), T((10_000_000, 10_000_000, 20_000_000)))
+
+
+def outcome(f, *args, **kwargs):
+    """What a call returns, or the type and message of the library error it raises."""
+    try:
+        return f(*args, **kwargs)
+    except EpiwordError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grown_tuples())
+def test_roots_match_the_oracle_that_constructs_each_part(p):
+    for rule in TIE_BREAKS:
+        assert outcome(epichristoffel_tree, p, tie_break=rule) == outcome(
+            naive_epichristoffel_tree, p, tie_break=rule
+        )
+
+
+FIBONACCI = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610)
+
+coefficients = (
+    st.tuples(st.integers(1, 500), st.just(1))  # one long run of L
+    | st.tuples(st.just(1), st.integers(1, 500))  # one long run of R
+    | st.integers(1, len(FIBONACCI) - 2).map(lambda n: (FIBONACCI[n + 1], FIBONACCI[n]))  # runs of one
+    | st.integers(1, len(FIBONACCI) - 2).map(lambda n: (FIBONACCI[n], FIBONACCI[n + 1]))
+    | st.tuples(st.integers(0, 40), st.integers(0, 40))  # zero and non-coprime pairs too
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grown_tuples(30), coefficients, st.integers(0, 4), st.sampled_from((0, 0, -1, 1)))
+def test_walks_by_runs_match_the_step_by_step_oracle(root, coefs, i, nudge):
+    alpha, beta = coefs
+    target = root  # a unit root has no tree; both walks must say so alike
+    tree = outcome(naive_epichristoffel_tree, root)
+    if isinstance(tree, TreeNode):
+        counts = [alpha * a + beta * b for a, b in zip(parikh(tree.u), parikh(tree.v))]
+        counts[i % len(counts)] += nudge  # a one-off neighbour, mostly outside the tree
+        target = T(tuple(counts))
+    assert outcome(_walk_to_tuple, root, target) == outcome(naive_walk_to_tuple, root, target)
+
+
+def refuse_descent(self):
+    raise AssertionError("the walk descended one node at a time")
+
+
+def test_walk_costs_runs_not_steps(monkeypatch):
+    monkeypatch.setattr(TreeNode, "left", refuse_descent)
+    monkeypatch.setattr(TreeNode, "right", refuse_descent)
+    target = T((100_000, 100_001, 200_002))
+    assert path_to_tuple(T((1, 2, 4)), target) == ["L"] * 99_999
+    word = resolve_epichristoffel(T((1, 2, 4)), target)
+    assert len(word) == 400_003 and parikh(word) == target
+
+
+def test_tree_root_constructs_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr("epiword.trees.construct", counting)
+    assert str(epichristoffel_tree(T((1, 2, 4)))) == "(xzyz, zyz)"
+    assert len(calls) == 1
 
 
 def test_resolve_epichristoffel():
@@ -292,6 +369,12 @@ def test_tree_children_respect_length_budget(monkeypatch):
     node = epichristoffel_tree(T((1, 2, 4)))
     with pytest.raises(WordLengthOverflow):
         tree_levels(node, 3)
+    # a walk builds only the target's word, so its budget is the target total
+    monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", 27)
+    assert len(resolve_epichristoffel(T((1, 2, 4)), T((3, 8, 16)))) == 27
+    monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", 26)
+    with pytest.raises(WordLengthOverflow, match="^word of length 27 exceeds the budget$"):
+        path_to_tuple(T((1, 2, 4)), T((3, 8, 16)))
 
 
 def test_tree_levels_validation():
