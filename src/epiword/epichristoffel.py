@@ -135,9 +135,9 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
     times in a row, until the largest other entry, second, ties or passes it.
     Every step but the last leaves i above second >= 0, so only the last can
     go negative. A tie is a run of one, on the index the tie-break picks.
-    There are at most ``p.total()`` steps. The verdict is empirically
-    independent of the tie-break rule; the rule only shapes the trace and
-    therefore the constructed word.
+    There are at most ``p.total()`` steps. A tie at total >= 3 leaves a
+    negative or stationary tuple whichever index is reduced, so the verdict
+    is independent of the tie-break rule, which only shapes the trace.
     """
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
@@ -268,22 +268,68 @@ def epi_factorizations(w: Word) -> list[tuple[Word, Word]]:
     return found
 
 
-def _compositions(total: int, parts: int, minimum: int):
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
+def _orderings(values: list[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of ``values`` in lexicographic order, by next permutation."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 def tuples_of_length(n: int, k: int, require_all_letters: bool = False) -> list[OccurrenceTuple]:
-    """All admissible k-tuples with entry sum n, in lexicographic order."""
+    """All admissible k-tuples with entry sum n, in lexicographic order, in time about their number.
+
+    For m >= 3 a tuple of total m is admissible exactly when it has a unique
+    maximum t with m/2 <= t < m and setting t to 2t - m leaves an admissible
+    tuple of total t: a tie at m >= 3 ends stationary or negative under every
+    tie-break. The search runs that reduction backwards over multisets. A
+    state is the total m, the pinned entries [original, current] already
+    reduced, and f free entries, never reduced and so interchangeable, with
+    sum F = m - sum of currents. The reduction is deterministic, so each
+    admissible multiset is reached once; then it yields its distinct orderings.
+    """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    candidates = map(OccurrenceTuple, _compositions(n, k, 1 if require_all_letters else 0))
-    return [p for p in candidates if admissibility(p).admissible]
+    low = 1 if require_all_letters else 0
+    found: list[tuple[int, ...]] = []
+
+    def grow(m: int, pinned: list[list[int]], f: int, free: int) -> None:
+        while m >= 3 and f >= 2:
+            currents = [-1, 0] + sorted(c for _, c in pinned)
+            second, top, rest = currents[-2], currents[-1], m - currents[-1]
+            # (a) The largest pinned entry is the maximum, and no free entry can
+            # pass it, while it is at least this floor: a run, by one division.
+            floor = max(second + 1, rest, -(-free // f) + 1, 3 - rest)
+            if pinned and rest > 0 and top >= floor:
+                entry = next(e for e in pinned if e[1] == top)
+                entry[1] -= ((top - floor) // rest + 1) * rest
+                m = entry[1] + rest
+                continue
+            # (b) A free entry becomes the maximum M; the f - 1 others lie in [low, M - 1].
+            least = max(-(-m // 2), top + 1, -(-(free + f - 1) // f))
+            for big in range(least, min(m - 1, free - low * (f - 1)) + 1):
+                grow(big, [e[:] for e in pinned] + [[big, 2 * big - m]], f - 1, free - big)
+            return
+        values = [o for o, _ in pinned]
+        if f <= 1:  # the last free entry is F: one verdict settles the tuple
+            values += [free] * f
+            if admissibility(OccurrenceTuple(tuple(values))).admissible:
+                found.extend(_orderings(values))
+        elif f * low <= free <= f and all(c <= 1 for _, c in pinned):
+            # total m <= 2: exactly m entries are 1 and the others 0
+            found.extend(_orderings(values + [1] * free + [0] * (f - free)))
+
+    grow(n, [], k, n)
+    return [OccurrenceTuple(c) for c in sorted(found)]
 
 
 def format_trace(trace: TTrace, alphabet: Alphabet | None = None) -> str:

@@ -39,16 +39,17 @@ class TreeNode:
         return self.u + self.v
 
     def left(self) -> "TreeNode":
-        return TreeNode(self.u, self._concat())
+        return TreeNode(self.u, self._concat(2 * len(self.u) + len(self.v)))
 
     def right(self) -> "TreeNode":
-        return TreeNode(self._concat(), self.v)
+        return TreeNode(self._concat(len(self.u) + 2 * len(self.v)), self.v)
 
     def children(self) -> tuple["TreeNode", "TreeNode"]:
         return self.left(), self.right()
 
-    def _concat(self) -> Word:
-        if len(self.u) + 2 * len(self.v) > MAX_WORD_LENGTH or 2 * len(self.u) + len(self.v) > MAX_WORD_LENGTH:
+    def _concat(self, child_length: int) -> Word:
+        """u*v, once the child's word of ``child_length`` letters is known to fit the budget."""
+        if child_length > MAX_WORD_LENGTH:
             raise WordLengthOverflow("child word would exceed the length budget")
         return self.u + self.v
 

@@ -6,8 +6,8 @@ every factor pair, Christoffel words by enumerating lattice paths and
 filtering with the geometric definition, admissibility by one subtraction
 per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
-roots by building each part's word anew, and tree paths by one subtraction
-and one node per step.
+roots by building each part's word anew, tree paths by one subtraction
+and one node per step, and admissible tuples by reducing every composition.
 """
 
 from dataclasses import dataclass
@@ -239,3 +239,21 @@ def naive_walk_to_tuple(root_tuple: OccurrenceTuple, target: OccurrenceTuple, al
         node = node.left() if step == "L" else node.right()
     assert parikh(node.word) == target
     return path, node
+
+
+def _compositions(total: int, parts: int, minimum: int):
+    if parts == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total - minimum * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1, minimum):
+            yield (first,) + rest
+
+
+def naive_tuples_of_length(n: int, k: int, require_all_letters: bool = False) -> list[OccurrenceTuple]:
+    """All admissible k-tuples with entry sum n, in lexicographic order, by one verdict per composition."""
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
+    candidates = map(OccurrenceTuple, _compositions(n, k, 1 if require_all_letters else 0))
+    return [p for p in candidates if admissibility(p).admissible]

@@ -94,8 +94,10 @@ def test_tuple_word_split_trace():
          " ".join(["L"] * 99_999) + "\n" + "xzyz" * 100_000 + "zyz\n", ""),
         (("find", "--root", "1,2,4", "--target", "10000000,10000001,20000002"), 2, "",
          "error: word of length 40000003 exceeds the budget\n"),
+        # 85,512 admissible tuples, from 10.8 M compositions
+        (("exists", "--length", "400", "--k", "4", "--max", "1"), 0, "0,0,1,399\n", ""),
     ],
-    ids=["verdict", "word", "find", "find-long-run", "find-over-budget"],
+    ids=["verdict", "word", "find", "find-long-run", "find-over-budget", "exists"],
 )
 def test_tuple_on_a_huge_total_finishes_within_two_seconds(args, code, stdout, stderr):
     start = time.perf_counter()

@@ -1,3 +1,6 @@
+import sys
+import time
+from functools import cache
 from itertools import product
 
 import pytest
@@ -35,7 +38,7 @@ from epiword import (
 )
 from epiword.epichristoffel import split_construction
 from epiword.morphisms import apply
-from oracles import naive_admissibility, naive_construct
+from oracles import naive_admissibility, naive_construct, naive_tuples_of_length
 from strategies import grown_tuples
 
 T = OccurrenceTuple
@@ -190,6 +193,30 @@ def tied_tuples(draw):
     return T(tuple(counts))
 
 
+@st.composite
+def deep_ties(draw, max_total=10_000):
+    """A grown tuple with one entry copied onto another, then grown on, so a tie sits inside its reduction."""
+    counts = list(draw(grown_tuples(max_total // 4)).counts)
+    i, j = draw(st.permutations(range(len(counts))))[:2]
+    counts[j] = counts[i]
+    for a, q in draw(st.lists(st.tuples(st.integers(0, len(counts) - 1), st.integers(1, 50)), max_size=4)):
+        for _ in range(q):
+            rest = sum(counts) - counts[a]
+            if sum(counts) + rest > max_total:
+                break
+            counts[a] += rest
+    assume(any(counts))
+    return T(tuple(counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grown_tuples(10_000) | near_misses() | deep_ties())
+def test_verdict_is_tie_break_independent(p):
+    # The enumeration relies on this: a tie at total >= 3 fails under every rule.
+    verdicts = {admissibility(p, tie_break=rule).admissible for rule in TIE_BREAKS}
+    assert len(verdicts) == 1, f"tie-break changed the verdict for {p}"
+
+
 @settings(max_examples=150, deadline=None)
 @given(grown_tuples(10_000) | near_misses() | tied_tuples())
 def test_run_length_reduction_matches_the_step_by_step_oracle(p):
@@ -342,6 +369,62 @@ def test_tuples_of_length():
     assert T((0, 1, 1)) in tuples_of_length(2, 3)
     with pytest.raises(ValueError):
         tuples_of_length(0, 3)
+
+
+# Largest total compared exhaustively with the composition oracle, per k.
+EXHAUSTIVE_TOTALS = {2: 100, 3: 60, 4: 30, 5: 20, 6: 12}
+
+
+def test_tuples_of_length_matches_the_composition_oracle():
+    for k, max_total in EXHAUSTIVE_TOTALS.items():
+        for n in range(1, max_total + 1):
+            for flag in (False, True):
+                assert tuples_of_length(n, k, flag) == naive_tuples_of_length(n, k, flag), (n, k, flag)
+
+
+@cache
+def listed(n, k, flag):
+    return frozenset(p.counts for p in tuples_of_length(n, k, flag))
+
+
+@st.composite
+def moved_tuples(draw):
+    """A grown tuple of total <= 200 and k <= 4, or it with units moved between two entries."""
+    counts = list(draw(grown_tuples(200).filter(lambda p: p.k <= 4)).counts)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.permutations(range(len(counts))))[:2]
+        if counts[i] > 0:
+            counts[i], counts[j] = counts[i] - 1, counts[j] + 1
+    return T(tuple(counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(moved_tuples())
+def test_tuples_of_length_lists_exactly_the_admissible_tuples(p):
+    admissible = admissibility(p).admissible
+    assert (p.counts in listed(p.total(), p.k, False)) == admissible
+    assert (p.counts in listed(p.total(), p.k, True)) == (admissible and all(p.counts))
+
+
+def test_tuples_of_length_takes_time_about_its_output():
+    start = time.perf_counter()
+    found = tuples_of_length(240, 4)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == 35_556
+
+
+def test_enumeration_depth_does_not_grow_with_the_total():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    # (998,1,1) reduces its first entry 499 times in a row: a call per step would overflow.
+    sys.setrecursionlimit(depth + 200)
+    try:
+        found = tuples_of_length(1000, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert T((998, 1, 1)) in found and len(found) == 26_589
 
 
 def test_occurrence_tuple_parse():

@@ -377,6 +377,18 @@ def test_tree_children_respect_length_budget(monkeypatch):
         path_to_tuple(T((1, 2, 4)), T((3, 8, 16)))
 
 
+def test_each_tree_child_is_checked_on_its_own_length(monkeypatch):
+    monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", 10)
+    short, long = BINARY.word("x"), BINARY.word("y" * 5)
+    # (u, v) has children (u, uv) of 2|u| + |v| letters and (uv, v) of |u| + 2|v|
+    assert TreeNode(short, long).left() == TreeNode(short, BINARY.word("xyyyyy"))
+    with pytest.raises(WordLengthOverflow, match="^child word would exceed the length budget$"):
+        TreeNode(short, long).right()
+    assert TreeNode(long, short).right() == TreeNode(BINARY.word("yyyyyx"), short)
+    with pytest.raises(WordLengthOverflow, match="^child word would exceed the length budget$"):
+        TreeNode(long, short).left()
+
+
 def test_tree_levels_validation():
     with pytest.raises(ValueError):
         tree_levels(christoffel_tree(), -1)
