@@ -5,7 +5,9 @@ tuples found), 2 input or domain error: every library error (EpiwordError,
 ValueError) exits 2 with ``error: <message>`` from one handler on the group.
 EPIWORD_MAX_DEPTH caps tree depth (default 12 when unset or empty; other
 values must be non-negative integers); ``christoffel --draw`` refuses grids
-of more than MAX_WORD_LENGTH cells.
+of more than MAX_WORD_LENGTH cells, and ``tuple --trace`` traces of more
+than MAX_WORD_LENGTH steps. ``diagonal`` costs O(log k + count) integer
+steps and builds no tree level, so ``--k`` is not bounded by memory.
 """
 
 from __future__ import annotations
@@ -219,6 +221,9 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
     if (show_word or show_split) and not trace.admissible:
         _fail(f"{p} is not admissible: {trace.rejection}")
     if show_trace:
+        steps = sum(q for _, q in trace.runs)
+        if steps > MAX_WORD_LENGTH:
+            raise WordLengthOverflow(f"trace of {steps} steps exceeds the budget")
         click.echo(format_trace(trace, alphabet))
         click.echo("admissible" if trace.admissible else "rejected")
     if show_word or show_split:
@@ -308,7 +313,11 @@ def apply_cmd(morphisms: str, word: str, symbols: str) -> None:
 @click.option("--root", "root_counts", default=None, help="Tuple tree root; omit for fractions.")
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def diagonal_cmd(side: str, k: int, count: int, root_counts: str | None, symbols: str | None) -> None:
-    """Stream diagonal entries of a Stern-Brocot tree, one per line."""
+    """Stream diagonal entries of a Stern-Brocot tree, one per line.
+
+    Each entry comes from Stern's diatomic sequence: O(log K + COUNT)
+    integer steps in all, with no tree level built, whatever the size of K.
+    """
     if k < 1 or count < 1:
         _fail("need --k >= 1 and --count >= 1")
     seed = _seed(root_counts, symbols)

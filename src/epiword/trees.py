@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator, Literal, Sequence, Union
+from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .epichristoffel import TieBreak, construct, epi_factorizations, is_epichristoffel_word, split_construction
 from .errors import (
@@ -105,14 +105,37 @@ def _insert_mediants(seq: list[SBEntry]) -> list[SBEntry]:
     return merged
 
 
-def sb_level_stream(seed: tuple[SBEntry, SBEntry]) -> Iterator[SBLevel]:
+class _SBLevelStream:
+    """Levels ``index``, ``index + 1``, ... of the mediant tree grown from ``seed``, forever.
+
+    The row, the whole sequence after ``index - 1`` rounds of insertion, is
+    built from the seed on first use and after ``advance_to``, so a caller
+    that only moves the index forward, as ``diagonal`` does, builds nothing.
+    """
+
+    def __init__(self, seed: tuple[SBEntry, SBEntry]) -> None:
+        self.seed = (seed[0], seed[1])
+        self.index = 1
+        self._row: list[SBEntry] | None = None
+
+    def advance_to(self, index: int) -> None:
+        """Move to level ``index``; its row is built from the seed when next needed."""
+        self.index, self._row = index, None
+
+    def __iter__(self) -> "_SBLevelStream":
+        return self
+
+    def __next__(self) -> SBLevel:
+        row = sb_sequence(self.seed, self.index - 1) if self._row is None else self._row
+        self._row = _insert_mediants(row)
+        level = SBLevel(self.index, tuple(self._row[1::2]))
+        self.index += 1
+        return level
+
+
+def sb_level_stream(seed: tuple[SBEntry, SBEntry]) -> _SBLevelStream:
     """Levels 1, 2, ... of the mediant tree grown from the seed pair, forever."""
-    seq: list[SBEntry] = [seed[0], seed[1]]
-    index = 1
-    while True:
-        seq = _insert_mediants(seq)
-        yield SBLevel(index, tuple(seq[1::2]))
-        index += 1
+    return _SBLevelStream(seed)
 
 
 def stern_brocot_levels(seed: tuple[SBEntry, SBEntry], count: int) -> list[SBLevel]:
@@ -195,14 +218,66 @@ def _level_entries(level) -> Sequence:
     return level
 
 
+def _stern(m: int) -> int:
+    """Stern's diatomic s(m): s(0) = 0, s(1) = 1, s(2m) = s(m), s(2m+1) = s(m) + s(m+1)."""
+    # Invariant: s(m0) = a*s(m) + b*s(m+1), where m0 is the argument.
+    a, b = 1, 0
+    while m:
+        if m & 1:
+            b += a
+        else:
+            a += b
+        m >>= 1
+    return b
+
+
+def _seed_combination(a: SBEntry, b: SBEntry) -> Callable[[int, int], SBEntry]:
+    """(x, y) -> x*a + y*b, componentwise, once the pair passes ``mediant``'s checks."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return lambda x, y: Fraction(x * a.num + y * b.num, x * a.den + y * b.den)
+    if isinstance(a, OccurrenceTuple) and isinstance(b, OccurrenceTuple):
+        if a.k != b.k:
+            raise DimensionMismatchError(f"tuple lengths differ: {a.k} vs {b.k}")
+        return lambda x, y: OccurrenceTuple(tuple(x * p + y * q for p, q in zip(a.counts, b.counts)))
+    raise DimensionMismatchError("mediant needs two fractions or two equal-length tuples")
+
+
+def _sb_diagonal(stream: _SBLevelStream, side: Side, k: int) -> Iterator[SBEntry]:
+    # After n rounds from the seed (a, b), entry j of the row (0 <= j <= 2^n)
+    # is s(2^n - j)*a + s(j)*b; level n holds the odd j. One level down the
+    # k-th entry from the left keeps s(j) and adds it to the coefficient of a,
+    # the k-th from the right the other way round (the row-successor maps).
+    combine = _seed_combination(*stream.seed)
+    n = max((k - 1).bit_length() + 1, stream.index)
+    j = 2 * k - 1 if side == "L" else (1 << n) - 2 * k + 1
+    x, y = _stern((1 << n) - j), _stern(j)
+    while True:
+        stream.advance_to(n + 1)
+        yield combine(x, y)
+        if side == "L":
+            x += y
+        else:
+            y += x
+        n += 1
+
+
 def diagonal(levels: Iterable, side: Side, k: int) -> Iterator:
     """The k-th entry from the given side of every level that has one.
 
-    Levels too short to have a k-th entry are skipped. Works on mediant
-    levels and on materialized word-tree levels alike.
+    Levels too short to have a k-th entry are skipped. Given a stream from
+    ``sb_level_stream``, the entries come from Stern's diatomic sequence in
+    O(log k + count) integer steps, with no level built, from the stream's
+    next level on; the stream is left after the last level answered. Any
+    other iterable of levels, such as materialized word-tree levels, is
+    scanned level by level.
     """
     if k < 1:
         raise ValueError("diagonal index starts at 1")
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    if isinstance(levels, _SBLevelStream):
+        yield from _sb_diagonal(levels, side, k)
+        return
     for level in levels:
         entries = _level_entries(level)
         if len(entries) < k:
@@ -261,6 +336,8 @@ def row_successor_check(levels: Sequence) -> bool:
     the k-th entry from the right replaces a/b by (a+b)/b.
     """
     rows = [_level_entries(level) for level in levels]
+    if not all(isinstance(entry, Fraction) for row in rows for entry in row):
+        raise ValueError("the row-successor maps are defined for fraction levels")
     for row, nxt in zip(rows, rows[1:]):
         for k in range(len(row)):
             a, b = row[k].num, row[k].den

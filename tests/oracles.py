@@ -7,11 +7,13 @@ filtering with the geometric definition, admissibility by one subtraction
 per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
 roots by building each part's word anew, tree paths by one subtraction
-and one node per step, and admissible tuples by reducing every composition.
+and one node per step, admissible tuples by reducing every composition,
+and Stern-Brocot diagonals by reading each mediant level in turn.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, count
 from math import gcd
 
 from epiword import (
@@ -36,7 +38,7 @@ from epiword import (
 from epiword.epichristoffel import split_construction
 from epiword.errors import AllZeroError, NotInTreeError, RootSelectionError
 from epiword.morphisms import apply
-from epiword.trees import _solve_seed_combination
+from epiword.trees import _solve_seed_combination, sb_level_stream
 
 
 def naive_least_rotation(w: Word) -> tuple[Word, int]:
@@ -257,3 +259,20 @@ def naive_tuples_of_length(n: int, k: int, require_all_letters: bool = False) ->
         raise ValueError("need n >= 1 and k >= 2")
     candidates = map(OccurrenceTuple, _compositions(n, k, 1 if require_all_letters else 0))
     return [p for p in candidates if admissibility(p).admissible]
+
+
+@cache
+def _sb_levels(seed):
+    """A seed's level stream and the levels read from it so far, shared between calls."""
+    return sb_level_stream(seed), []
+
+
+def naive_sb_diagonal(seed, side: str, k: int):
+    """The k-th entry from ``side`` of every mediant level that has one, level by level."""
+    stream, built = _sb_levels(seed)
+    for i in count():
+        if i == len(built):
+            built.append(next(stream))
+        entries = built[i].entries
+        if len(entries) >= k:
+            yield entries[k - 1] if side == "L" else entries[len(entries) - k]

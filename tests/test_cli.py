@@ -217,6 +217,47 @@ def test_diagonal_command():
     assert result.output == "(1,2,4)\n(1,3,6)\n(1,4,8)\n"
 
 
+@pytest.mark.parametrize(
+    "k, count, stdout",
+    [
+        (100_000, 5, "811/364\n811/1175\n811/1986\n811/2797\n811/3608\n"),
+        (10**18, 3, "572471677/203949877\n572471677/776421554\n572471677/1348893231\n"),
+    ],
+)
+def test_diagonal_far_out_answers_without_building_levels(k, count, stdout):
+    # Level 18 alone holds 2^17 mediants, and level 61 more than memory holds.
+    start = time.perf_counter()
+    result = run("diagonal", "--side", "L", "--k", str(k), "--count", str(count))
+    assert time.perf_counter() - start < 0.5
+    assert (result.exit_code, result.stdout) == (0, stdout)
+
+
+def test_trace_over_the_budget_exits_2_before_any_output(monkeypatch):
+    start = time.perf_counter()
+    result = run("tuple", "1,1,20000000", "--trace")
+    assert time.perf_counter() - start < 1.0
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: trace of 10000001 steps exceeds the budget\n"
+    # (1,4,2) reduces in 3 steps: a budget of 3 prints them, 2 refuses them.
+    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 3)
+    assert run("tuple", "1,4,2", "--trace").exit_code == 0
+    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 2)
+    result = run("tuple", "1,4,2", "--trace")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: trace of 3 steps exceeds the budget\n"
+
+
+def test_trace_inside_the_budget_prints_every_step():
+    result = run("tuple", "1,1,2000000", "--trace")
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    assert lines[1] == "admissible"
+    segments = lines[0].split(" ->")
+    assert len(segments) == 1_000_002  # the start and 1,000,001 steps
+    assert segments[:3] == ["(1,1,2000000)", "z (1,1,1999998)", "z (1,1,1999996)"]
+    assert segments[-3:] == ["z (1,1,2)", "z (1,1,0)", "x (0,1,0)"]
+
+
 def test_commands_are_deterministic():
     for args in (
         ("tree", "epi", "--root", "1,2,4", "--depth", "3", "--format", "json"),

@@ -1,3 +1,4 @@
+import time
 from itertools import islice
 from math import gcd
 
@@ -37,7 +38,7 @@ from epiword import (
     tree_levels,
 )
 from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
-from oracles import naive_epichristoffel_tree, naive_walk_to_tuple
+from oracles import naive_epichristoffel_tree, naive_sb_diagonal, naive_walk_to_tuple
 from strategies import grown_tuples
 
 T = OccurrenceTuple
@@ -217,6 +218,72 @@ def test_diagonal_works_on_word_tree_levels():
     ]
 
 
+def test_diagonal_rejects_a_bad_side():
+    for levels in (sb_level_stream(CLASSICAL_SEED), stern_brocot_levels(CLASSICAL_SEED, 3)):
+        with pytest.raises(ValueError, match="^side must be 'L' or 'R', got 'X'$"):
+            next(diagonal(levels, "X", 2))
+
+
+def tree_seed(root):
+    tree = epichristoffel_tree(T(root))
+    return parikh(tree.u), parikh(tree.v)
+
+
+SB_SEEDS = (CLASSICAL_SEED, tree_seed((1, 2, 4)), tree_seed((1, 2, 4, 8)), tree_seed((1, 4, 2)))
+
+
+@pytest.mark.parametrize("seed", SB_SEEDS, ids=["classical", "1,2,4", "1,2,4,8", "1,4,2"])
+def test_diagonals_match_the_level_scan_for_every_k_to_4096(seed):
+    for k in range(1, 2**12 + 1):
+        for side in "LR":
+            got = list(islice(diagonal(sb_level_stream(seed), side, k), 3))
+            assert got == list(islice(naive_sb_diagonal(seed, side, k), 3)), (side, k)
+
+
+def test_diagonal_of_an_advanced_stream_starts_at_its_next_level():
+    seed = SB_SEEDS[1]
+    for k, skipped in ((2, 5), (5, 2), (5, 3), (5, 4), (1, 1)):
+        for side in "LR":
+            stream = sb_level_stream(seed)
+            for _ in range(skipped):
+                next(stream)
+            got = list(islice(diagonal(stream, side, k), 3))
+            start = (k - 1).bit_length() + 1  # the first level with a k-th entry
+            first = max(skipped + 1, start)  # the level of got[0]
+            want = list(islice(naive_sb_diagonal(seed, side, k), first - start, first - start + 3))
+            assert got == want, (k, skipped, side)
+            # The stream is left after the last level answered, as a scan leaves it.
+            assert next(stream) == stern_brocot_levels(seed, first + 3)[-1]
+
+
+def refuse_mediant(a, b):
+    raise AssertionError("a diagonal built a mediant level")
+
+
+def test_diagonal_of_a_stream_builds_no_level(monkeypatch):
+    monkeypatch.setattr("epiword.trees.mediant", refuse_mediant)
+    got = frs(islice(diagonal(sb_level_stream(CLASSICAL_SEED), "L", 10**18), 3))
+    assert got == ["572471677/203949877", "572471677/776421554", "572471677/1348893231"]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        list(islice(diagonal(sb_level_stream(SB_SEEDS[2]), "R", 100_000), 5))
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
+
+
+def test_diagonal_scans_levels_that_are_not_a_stream():
+    levels = stern_brocot_levels(CLASSICAL_SEED, 6)
+    assert list(diagonal(levels[2::2], "L", 2)) == [levels[2].entries[1], levels[4].entries[1]]
+    assert frs(diagonal(iter(levels), "R", 3)) == ["2/3", "5/3", "8/3", "11/3"]
+
+
+def test_diagonal_of_a_mismatched_seed_is_an_error():
+    for seed in ((Fraction(0, 1), T((1, 2))), (T((1, 2)), T((1, 2, 3)))):
+        with pytest.raises(DimensionMismatchError):
+            next(diagonal(sb_level_stream(seed), "L", 3))
+
+
 def test_l1_plus():
     assert frs(islice(l1_plus(), 4)) == ["1/0", "1/1", "1/2", "1/3"]
 
@@ -228,9 +295,17 @@ def test_diagonal_sums():
         assert diagonal_sum_check(k, 5), f"diagonal sum failed for k={k}"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**40), st.integers(1, 6))
+def test_diagonal_sums_for_large_k(k, terms):
+    assert diagonal_sum_check(k, terms)
+
+
 def test_row_successors():
     levels = stern_brocot_levels(CLASSICAL_SEED, 8)
     assert row_successor_check(levels)
+    with pytest.raises(ValueError, match="^the row-successor maps are defined for fraction levels$"):
+        row_successor_check(stern_brocot_levels(SB_SEEDS[1], 3))
     row2, row3 = levels[1].entries, levels[2].entries
     assert row2[0] == Fraction(1, 2) and row3[0] == Fraction(1, 3)
     assert row2[-1] == Fraction(2, 1) and row3[-1] == Fraction(3, 1)
