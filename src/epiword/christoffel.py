@@ -60,21 +60,43 @@ def _require_binary(alphabet: Alphabet) -> None:
 def christoffel_word(slope: Slope, alphabet: Alphabet = BINARY) -> Word:
     """The Christoffel word of the given slope: length a+b, with b x's and a y's.
 
-    The k-th letter is y exactly when the k-th step crosses a new horizontal
-    lattice line, i.e. when floor(k*a/(a+b)) exceeds floor((k-1)*a/(a+b)).
+    It is the word u*v of the Christoffel tree node b*|x| + a*|y|, reached from
+    (x, y) by one concatenation per run of Euclid's algorithm on (b, a).
     """
     _require_binary(alphabet)
     a, b = slope.a, slope.b
-    n = a + b
-    if n > MAX_WORD_LENGTH:
-        raise WordLengthOverflow(f"word of length {n} exceeds the budget")
-    letters = []
-    prev = 0
-    for k in range(1, n + 1):
-        cur = (k * a) // n
-        letters.append(1 if cur > prev else 0)
-        prev = cur
-    return Word(tuple(letters), alphabet)
+    if a + b > MAX_WORD_LENGTH:
+        raise WordLengthOverflow(f"word of length {a + b} exceeds the budget")
+    if a == 0 or b == 0:
+        return Word._trusted((0,) if a == 0 else (1,), alphabet)
+    _, u, v = _tree_walk((0,), (1,), b, a)
+    return Word._trusted(u + v, alphabet)
+
+
+def _tree_walk(
+    u: tuple[int, ...], v: tuple[int, ...], alpha: int, beta: int
+) -> tuple[list[tuple[str, int]], tuple[int, ...], tuple[int, ...]]:
+    """The runs from node (u, v) of a word tree to its descendant alpha*|u| + beta*|v|, and that node.
+
+    The children of (u, v) are (u, uv) and (uv, v). For coprime alpha, beta >= 1
+    the walk follows the continued fraction of alpha/beta: while alpha > beta,
+    q = (alpha-1)//beta steps L take (u, v) to (u, u^q v) and alpha to
+    alpha - q*beta; a run of R gives (u v^q, v). A run is one division and one
+    concatenation, so the walk costs about the length of the node's word.
+    """
+    runs: list[tuple[str, int]] = []
+    while (alpha, beta) != (1, 1):
+        if alpha > beta:
+            q = (alpha - 1) // beta
+            runs.append(("L", q))
+            v = u * q + v
+            alpha -= q * beta
+        else:
+            q = (beta - 1) // alpha
+            runs.append(("R", q))
+            u = u + v * q
+            beta -= q * alpha
+    return runs, u, v
 
 
 def path_points(slope: Slope, alphabet: Alphabet = BINARY) -> list[tuple[int, int]]:

@@ -6,7 +6,10 @@ ValueError) exits 2 with ``error: <message>`` from one handler on the group.
 EPIWORD_MAX_DEPTH caps tree depth (default 12 when unset or empty; other
 values must be non-negative integers); ``christoffel --draw`` refuses grids
 of more than MAX_WORD_LENGTH cells, and ``tuple --trace`` traces of more
-than MAX_WORD_LENGTH steps. ``diagonal`` costs O(log k + count) integer
+than MAX_WORD_LENGTH steps. A word tree to depth D prints exactly
+(|u|+|v|)(3^(D+1)-1)/2 letters, so ``tree christoffel`` and ``tree epi``
+refuse more than MAX_TREE_LETTERS (16 * MAX_WORD_LENGTH) letters before
+any output. ``diagonal`` costs O(log k + count) integer
 steps and builds no tree level, so ``--k`` is not bounded by memory.
 """
 
@@ -43,6 +46,8 @@ from .trees import (
 from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet, parikh
 
 DEFAULT_MAX_DEPTH = 12
+# Most letters a word tree may print; `tree epi --root 1,2,4 --depth 12` prints 5.6 M.
+MAX_TREE_LETTERS = 16 * MAX_WORD_LENGTH
 
 
 def _fail(message: str) -> None:
@@ -113,6 +118,10 @@ def _render_word_tree_dot(node: TreeNode, depth: int, name: str = "tree") -> str
 
 
 def _emit_word_tree(node: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> None:
+    # Level d holds 3^d (|u|+|v|) letters, so the whole tree's size is known before any work.
+    letters = (len(node.u) + len(node.v)) * (3 ** (depth + 1) - 1) // 2
+    if letters > MAX_TREE_LETTERS:
+        raise WordLengthOverflow(f"tree of {letters} letters exceeds the budget")
     # Each renderer builds its whole string first: an overflow exits 2 before any output.
     if fmt == "text":
         click.echo("\n".join(_render_word_tree_text(node, depth)))

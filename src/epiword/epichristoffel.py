@@ -203,7 +203,7 @@ def construct(
     terminal = trace.terminal
     assert terminal is not None
     u, v = _split_images(trace.runs, terminal, p.k) if trace.runs else ((), (terminal,))
-    c_word = Word(u + v, alphabet)
+    c_word = Word._trusted(u + v, alphabet)
     assert parikh(c_word) == p, f"construction lost counts for {p}"
     epi_word, offset = least_rotation(c_word)
     return ConstructionResult(c_word, MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
@@ -228,7 +228,7 @@ def split_construction(result: ConstructionResult) -> CanonicalSplit:
     alphabet = result.c_word.alphabet
     u, v = _split_images(runs, result.terminal_letter, alphabet.size)
     assert u + v == result.c_word.letters
-    u_word, v_word = Word(u, alphabet), Word(v, alphabet)
+    u_word, v_word = Word._trusted(u, alphabet), Word._trusted(v, alphabet)
     return CanonicalSplit(u_word, v_word, parikh(u_word), parikh(v_word))
 
 

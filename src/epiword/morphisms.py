@@ -88,7 +88,7 @@ def apply_atom(atom: MorphismAtom, w: Word) -> Word:
             out = [swap.get(c, c) for c in w.letters]
         case _:
             raise TypeError(f"not a morphism atom: {atom!r}")
-    return Word(tuple(out), alphabet)
+    return Word._trusted(tuple(out), alphabet)
 
 
 def apply(seq: MorphismSeq | Iterable[MorphismAtom], w: Word) -> Word:

@@ -15,6 +15,7 @@ from itertools import islice
 from math import gcd
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
+from .christoffel import _tree_walk
 from .epichristoffel import TieBreak, construct, epi_factorizations, is_epichristoffel_word, split_construction
 from .errors import (
     DimensionMismatchError,
@@ -381,9 +382,7 @@ def _walk_to_tuple(
     """The root-to-node steps to the node with counts ``target``, and that node.
 
     Writes target as alpha*pu + beta*pv over the root's split tuples, then
-    walks by runs, one division each, as in the continued fraction of
-    alpha/beta: while alpha > beta, q = (alpha-1)//beta steps L take (u, v)
-    to (u, u^q v) and alpha to alpha - q*beta; a run of R gives (u v^q, v).
+    walks by runs, one division and one concatenation each (``_tree_walk``).
     """
     root = epichristoffel_tree(root_tuple, alphabet)
     pu, pv = parikh(root.u), parikh(root.v)
@@ -392,20 +391,9 @@ def _walk_to_tuple(
         raise NotInTreeError(f"{target} needs coprime positive coefficients, got ({alpha}, {beta})")
     if target.total() > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {target.total()} exceeds the budget")
-    path: list[Side] = []
-    u, v = root.u.letters, root.v.letters
-    while (alpha, beta) != (1, 1):
-        if alpha > beta:
-            q = (alpha - 1) // beta
-            path += ["L"] * q
-            v = u * q + v
-            alpha -= q * beta
-        else:
-            q = (beta - 1) // alpha
-            path += ["R"] * q
-            u = u + v * q
-            beta -= q * alpha
-    node = TreeNode(Word(u, root.u.alphabet), Word(v, root.v.alphabet))
+    runs, u, v = _tree_walk(root.u.letters, root.v.letters, alpha, beta)
+    path: list[Side] = list("".join(side * q for side, q in runs))
+    node = TreeNode(Word._trusted(u, root.u.alphabet), Word._trusted(v, root.v.alphabet))
     assert parikh(node.word) == target
     return path, node
 

@@ -2,14 +2,19 @@
 
 Letters are stored as integer indices into an alphabet, so lexicographic
 comparison and morphism application never touch display symbols; symbols
-appear only when parsing or rendering. Every value is immutable and every
-operation is pure.
+appear only when parsing or rendering. Letters are checked where they enter:
+a public ``Word(...)``, ``Alphabet.word`` or parsing. Operations on words
+already checked build their results with ``Word._trusted``. Every value is
+immutable and every operation is pure.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 from .errors import EmptyWordError
@@ -52,7 +57,7 @@ class Alphabet:
         return Word(tuple(self.index(ch) for ch in text), self)
 
     def render(self, letters: Iterator[int] | tuple[int, ...]) -> str:
-        return "".join(self.symbols[i] for i in letters)
+        return "".join(map(self.symbols.__getitem__, letters))
 
 
 BINARY = Alphabet("xy")
@@ -84,9 +89,15 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        k = self.alphabet.size
-        if any(not 0 <= c < k for c in self.letters):
+        if self.letters and not (0 <= min(self.letters) and max(self.letters) < self.alphabet.size):
             raise ValueError("letter index outside alphabet")
+
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], alphabet: Alphabet) -> "Word":
+        """A word from letters known to lie in the alphabet, built without the check."""
+        w = object.__new__(cls)
+        w.__dict__.update(letters=letters, alphabet=alphabet)
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -96,12 +107,12 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.letters[item], self.alphabet)
+            return Word._trusted(self.letters[item], self.alphabet)
         return self.letters[item]
 
     def __add__(self, other: "Word") -> "Word":
         self._require_same_alphabet(other)
-        return Word(self.letters + other.letters, self.alphabet)
+        return Word._trusted(self.letters + other.letters, self.alphabet)
 
     def __lt__(self, other: "Word") -> bool:
         self._require_same_alphabet(other)
@@ -183,69 +194,69 @@ def rotate(w: Word, i: int) -> Word:
     if len(w) == 0:
         return w
     i %= len(w)
-    return Word(w.letters[i:] + w.letters[:i], w.alphabet)
+    return Word._trusted(w.letters[i:] + w.letters[:i], w.alphabet)
 
 
-def _least_rotation_index(s: tuple[int, ...]) -> int:
-    # Booth's algorithm; returns the smallest offset of the least rotation.
-    n = len(s)
-    doubled = s + s
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = doubled[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
+def _code(w: Word) -> str:
+    """The letters as a str of code points, so comparison, search and slicing run in C."""
+    return bytes(w.letters).decode("latin-1") if w.alphabet.size <= 256 else "".join(map(chr, w.letters))
+
+
+def _least_conjugate(s: str) -> str:
+    """The least rotation of ``s``, by block renaming: it starts where a run of the least letter a starts.
+
+    Cut the rotation at one such run into blocks a^r (non-a)^+, named by rank in
+    sorted order. A block that is a proper prefix of another ranks lower and is
+    followed by a where the other has a greater letter, so rotations at block
+    boundaries compare as the rotations of the names. Blocks have two letters or
+    more, so the depth is at most log2 n, and ranks stay below n/2 < 0x110000.
+    """
+    a = min(s)
+    run_end = len(s) - len(s.lstrip(a))
+    if run_end == len(s):
+        return s
+    # The next run of a after the first, or the first run when it is the only one.
+    start = max(s.find(a, run_end), 0)
+    t = s[start:] + s[:start]
+    blocks = re.findall(f"\\U{ord(a):08x}+[^\\U{ord(a):08x}]+", t)
+    order = sorted(set(blocks))
+    name = dict(zip(order, map(chr, range(len(order)))))
+    least = _least_conjugate("".join(map(name.__getitem__, blocks)))
+    return "".join(map(order.__getitem__, map(ord, least)))
 
 
 def least_rotation(w: Word) -> tuple[Word, int]:
-    """Lexicographically least conjugate of ``w`` and the offset producing it.
+    """Lexicographically least conjugate of ``w`` and the offset producing it, by block renaming.
 
-    Uses Booth's linear-time scan; ties (non-primitive words) resolve to the
-    smallest offset.
+    O(n) C-level work and O(log n) interpreter steps; ties (non-primitive words) take the smallest offset.
     """
     if len(w) == 0:
         raise EmptyWordError("the empty word has no least rotation")
-    k = _least_rotation_index(w.letters)
+    s = _code(w)
+    k = (s + s).find(_least_conjugate(s))
     return rotate(w, k), k
 
 
 def are_conjugate(w1: Word, w2: Word) -> bool:
     """True when ``w2`` is a rotation of ``w1``."""
     w1._require_same_alphabet(w2)
-    if len(w1) != len(w2):
-        return False
-    if len(w1) == 0:
-        return True
-    return least_rotation(w1)[0] == least_rotation(w2)[0]
+    s1, s2 = _code(w1), _code(w2)
+    return len(s1) == len(s2) and s2 in s1 + s1
 
 
 def is_primitive(w: Word) -> bool:
-    """True when ``w`` is not a proper power of a shorter word."""
+    """True when ``w`` is not a proper power of a shorter word: it occurs in ww only at 0 and |w|."""
     if len(w) == 0:
         raise EmptyWordError("primitivity is defined for nonempty words")
-    n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and w.letters[:d] * (n // d) == w.letters:
-            return False
-    return True
+    s = _code(w)
+    return (s + s).find(s, 1) == len(s)
 
 
 def is_lyndon(w: Word) -> bool:
     """True when ``w`` is primitive and least among its rotations."""
     if len(w) == 0:
         raise EmptyWordError("Lyndon property is defined for nonempty words")
-    return is_primitive(w) and _least_rotation_index(w.letters) == 0
+    return is_primitive(w) and least_rotation(w)[1] == 0
 
 
 def is_balanced(w: Word) -> bool:
@@ -255,25 +266,13 @@ def is_balanced(w: Word) -> bool:
     """
     if len(w) == 0:
         raise EmptyWordError("balance is defined for nonempty words")
-    n, k = len(w), w.alphabet.size
-    letters = w.letters
-    for length in range(1, n):
-        counts = [0] * k
-        for c in letters[:length]:
-            counts[c] += 1
-        lo = counts.copy()
-        hi = counts.copy()
-        for start in range(1, n - length + 1):
-            out = letters[start - 1]
-            new = letters[start + length - 1]
-            counts[out] -= 1
-            counts[new] += 1
-            if counts[out] < lo[out]:
-                lo[out] = counts[out]
-            if counts[new] > hi[new]:
-                hi[new] = counts[new]
-        if any(hi[a] - lo[a] > 1 for a in range(k)):
-            return False
+    for a in set(w.letters):
+        # prefix[i] counts a in the first i letters; a window's count is a difference.
+        prefix = list(accumulate(map(a.__eq__, w.letters), initial=0))
+        for length in range(1, len(w)):
+            counts = list(map(sub, prefix[length:], prefix))
+            if max(counts) - min(counts) > 1:
+                return False
     return True
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These stay deliberately naive and separate from the library code paths they
-check: rotation minima by scanning every rotation, balance by comparing
-every factor pair, Christoffel words by enumerating lattice paths and
-filtering with the geometric definition, admissibility by one subtraction
+check: rotation minima by scanning every rotation or by Booth's scan,
+balance by comparing every factor pair, Christoffel words by enumerating
+lattice paths and filtering with the geometric definition or by one floor
+per letter, admissibility by one subtraction
 per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
 roots by building each part's word anew, tree paths by one subtraction
@@ -47,6 +48,30 @@ def naive_least_rotation(w: Word) -> tuple[Word, int]:
     rotations = [(letters[i:] + letters[:i], i) for i in range(n)]
     best, best_i = min(rotations)
     return Word(best, w.alphabet), best_i
+
+
+def booth_least_rotation(w: Word) -> tuple[Word, int]:
+    """Least rotation by Booth's failure-function scan (Booth, IPL 1980), one interpreted step per letter."""
+    s = w.letters
+    n = len(s)
+    doubled = s + s
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = doubled[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != doubled[k + i + 1]:
+            if sj < doubled[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != doubled[k + i + 1]:
+            if sj < doubled[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    k %= n
+    return Word(s[k:] + s[:k], w.alphabet), k
 
 
 def naive_is_balanced(w: Word) -> bool:
@@ -97,6 +122,18 @@ def geometric_christoffel(a: int, b: int) -> Word:
             survivors.append(tuple(1 if s in ys else 0 for s in range(n)))
     assert len(survivors) == 1, f"slope {a}/{b}: {len(survivors)} tight paths"
     return Word(survivors[0], BINARY)
+
+
+def naive_christoffel_word(a: int, b: int, alphabet=BINARY) -> Word:
+    """Letter k is y exactly when floor(k*a/(a+b)) exceeds floor((k-1)*a/(a+b)): the path crosses a lattice line."""
+    n = a + b
+    letters = []
+    prev = 0
+    for k in range(1, n + 1):
+        cur = (k * a) // n
+        letters.append(1 if cur > prev else 0)
+        prev = cur
+    return Word(tuple(letters), alphabet)
 
 
 @dataclass(frozen=True)

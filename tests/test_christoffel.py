@@ -2,6 +2,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiword import (
     BINARY,
@@ -21,7 +23,7 @@ from epiword import (
     path_labels,
     standard_factorization,
 )
-from oracles import geometric_christoffel, naive_standard_factorization
+from oracles import geometric_christoffel, naive_christoffel_word, naive_standard_factorization
 
 
 def coprime_slopes(max_total):
@@ -66,6 +68,18 @@ def test_word_respects_length_budget(monkeypatch):
 def test_word_matches_geometric_path_construction():
     for slope in coprime_slopes(10):
         assert christoffel_word(slope) == geometric_christoffel(slope.a, slope.b)
+
+
+def test_word_matches_the_floor_oracle_for_every_slope_to_400():
+    for slope in coprime_slopes(400):
+        assert christoffel_word(slope) == naive_christoffel_word(slope.a, slope.b), slope
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**5), st.data())
+def test_word_matches_the_floor_oracle_to_total_1e5(n, data):
+    a = data.draw(st.integers(1, n - 1).filter(lambda a: gcd(a, n) == 1))
+    assert christoffel_word(Slope(a, n - a)) == naive_christoffel_word(a, n - a)
 
 
 def test_labels_examples():

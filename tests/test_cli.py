@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -256,6 +257,37 @@ def test_trace_inside_the_budget_prints_every_step():
     assert len(segments) == 1_000_002  # the start and 1,000,001 steps
     assert segments[:3] == ["(1,1,2000000)", "z (1,1,1999998)", "z (1,1,1999996)"]
     assert segments[-3:] == ["z (1,1,2)", "z (1,1,0)", "x (0,1,0)"]
+
+
+def test_tree_over_the_letter_budget_exits_2_before_any_output(monkeypatch):
+    start = time.perf_counter()
+    result = run("tree", "epi", "--root", "1,2,400", "--depth", "12")
+    assert time.perf_counter() - start < 1.0
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: tree of 321255883 letters exceeds the budget\n"
+    # (x, y) to depth 1 prints 2 + 3 * 2 = 8 letters: a budget of 8 prints them, 7 refuses them.
+    for fmt in ("text", "json", "dot"):
+        monkeypatch.setattr("epiword.cli.MAX_TREE_LETTERS", 8)
+        assert run("tree", "christoffel", "--depth", "1", "--format", fmt).exit_code == 0
+        monkeypatch.setattr("epiword.cli.MAX_TREE_LETTERS", 7)
+        result = run("tree", "christoffel", "--depth", "1", "--format", fmt)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: tree of 8 letters exceeds the budget\n"
+
+
+@pytest.mark.parametrize(
+    "args, letters, digest",
+    [
+        (("christoffel",), 1_594_322, "3062807628d215241f2fcb9784a48b4f3cf23b7d6f77942731e41b7303100a22"),
+        (("epi", "--root", "1,2,4"), 5_580_127, "19ca516a1c30c4083bc4a13dc9bb26d1a5d2837251c80c6e127abbd50dc28910"),
+    ],
+    ids=["christoffel", "epi-1,2,4"],
+)
+def test_trees_inside_the_letter_budget_print_as_before(args, letters, digest):
+    result = run("tree", *args, "--depth", "12")
+    assert result.exit_code == 0
+    assert sum(ch.isalpha() for ch in result.stdout) == letters
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_commands_are_deterministic():

@@ -405,6 +405,17 @@ def test_tree_root_constructs_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_tree_root_of_a_long_run_takes_milliseconds():
+    p = T((1, 1, 16_000))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        root = epichristoffel_tree(p)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.015
+    assert root == naive_epichristoffel_tree(p)
+
+
 def test_resolve_epichristoffel():
     assert str(resolve_epichristoffel(T((1, 2, 4)), T((3, 8, 16)))) == (
         "xzyzzyzxzyzzyzzyzxzyzzyzzyz"
