@@ -9,8 +9,11 @@ of more than MAX_WORD_LENGTH cells, and ``tuple --trace`` traces of more
 than MAX_WORD_LENGTH steps. A word tree to depth D prints exactly
 (|u|+|v|)(3^(D+1)-1)/2 letters, so ``tree christoffel`` and ``tree epi``
 refuse more than MAX_TREE_LETTERS (16 * MAX_WORD_LENGTH) letters before
-any output. ``diagonal`` costs O(log k + count) integer
-steps and builds no tree level, so ``--k`` is not bounded by memory.
+any output. ``tree sb`` to depth D prints 2^D - 1 entries, so it refuses
+more than MAX_SB_ENTRIES (MAX_WORD_LENGTH: any depth over 20) before any
+work; its levels are built by row-wide column passes. ``diagonal`` costs
+O(log k + count) integer steps and builds no tree level, so ``--k`` is not
+bounded by memory.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet,
 DEFAULT_MAX_DEPTH = 12
 # Most letters a word tree may print; `tree epi --root 1,2,4 --depth 12` prints 5.6 M.
 MAX_TREE_LETTERS = 16 * MAX_WORD_LENGTH
+# Most entries `tree sb` may print: levels 1..D hold 2^D - 1, so depth 20 is the deepest.
+MAX_SB_ENTRIES = MAX_WORD_LENGTH
 
 
 def _fail(message: str) -> None:
@@ -258,6 +263,9 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
     """Emit a tree of the chosen KIND."""
     _check_depth(depth)
     if kind == "sb":
+        # 2^D - 1 > MAX_SB_ENTRIES exactly when D reaches this bit length; 2^D itself may not fit memory.
+        if depth >= (MAX_SB_ENTRIES + 1).bit_length():
+            raise WordLengthOverflow(f"tree of 2^{depth} - 1 entries exceeds the budget")
         # Stern-Brocot: classical fractions, or the tuple tree of an epi root.
         _emit_sb_levels(stern_brocot_levels(_seed(root_counts, symbols), depth), fmt)
         return

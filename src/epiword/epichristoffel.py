@@ -9,7 +9,8 @@ Each step is one ``Psi`` atom; the atoms map the letter left standing to a
 word whose least rotation is the epichristoffel word. It is built from letter
 images: taking the runs outermost first, Psi_a^q sets img[c] = img[a]^q img[c]
 for c != a, O(n + k*runs) in all. Before the last atom, u = img[its letter]
-and v = img[terminal] are the canonical split, and the word is u*v.
+and v = img[terminal] are the canonical split, and the word is u*v. Their
+letter counts follow from the runs alone, in O(k*runs).
 """
 
 from __future__ import annotations
@@ -179,6 +180,25 @@ def _split_images(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> tup
     return img[last], img[terminal]
 
 
+def _split_counts(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> list[OccurrenceTuple]:
+    """Letter counts of u and v, in O(k*runs): the images' letters are never counted.
+
+    Taking the atoms before the last one innermost first, Psi_a^n maps each
+    letter c != a to a^n c, so it adds n times the count of the other letters
+    to a's count.
+    """
+    *outer, (last, q) = runs
+    atoms = (*outer, (last, q - 1))[::-1]
+    parts = []
+    for letter in (last, terminal):
+        counts = [0] * k
+        counts[letter] = 1
+        for a, n in atoms:
+            counts[a] += n * (sum(counts) - counts[a])
+        parts.append(OccurrenceTuple(tuple(counts)))
+    return parts
+
+
 def construct(
     p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
 ) -> ConstructionResult:
@@ -228,8 +248,8 @@ def split_construction(result: ConstructionResult) -> CanonicalSplit:
     alphabet = result.c_word.alphabet
     u, v = _split_images(runs, result.terminal_letter, alphabet.size)
     assert u + v == result.c_word.letters
-    u_word, v_word = Word._trusted(u, alphabet), Word._trusted(v, alphabet)
-    return CanonicalSplit(u_word, v_word, parikh(u_word), parikh(v_word))
+    u_tuple, v_tuple = _split_counts(runs, result.terminal_letter, alphabet.size)
+    return CanonicalSplit(Word._trusted(u, alphabet), Word._trusted(v, alphabet), u_tuple, v_tuple)
 
 
 def is_epichristoffel_word(w: Word) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from operator import add, attrgetter
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .christoffel import _tree_walk
@@ -58,7 +59,7 @@ class TreeNode:
         return f"({self.u}, {self.v})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fraction:
     """A formal non-negative fraction; 1/0 is allowed as a sequence endpoint."""
 
@@ -99,10 +100,21 @@ def mediant(a: SBEntry, b: SBEntry) -> SBEntry:
 
 
 def _insert_mediants(seq: list[SBEntry]) -> list[SBEntry]:
-    """One round of mediant insertion: the old entries, with a mediant between each pair."""
+    """One round of mediant insertion: the old entries, with a mediant between each pair.
+
+    Every entry of a row is a combination of the seed pair, its two ends, so
+    ``mediant`` checks the ends once; the mediants are then summed one column
+    at a time, neighbour to neighbour, and built by the usual constructors.
+    """
+    if isinstance(mediant(seq[0], seq[-1]), Fraction):
+        nums, dens = list(map(attrgetter("num"), seq)), list(map(attrgetter("den"), seq))
+        mids = list(map(Fraction, map(add, nums, nums[1:]), map(add, dens, dens[1:])))
+    else:
+        columns = list(zip(*map(attrgetter("counts"), seq)))
+        mids = list(map(OccurrenceTuple, zip(*[map(add, c, c[1:]) for c in columns])))
     merged = [seq[0]] * (2 * len(seq) - 1)
     merged[0::2] = seq
-    merged[1::2] = [mediant(a, b) for a, b in zip(seq, seq[1:])]
+    merged[1::2] = mids
     return merged
 
 

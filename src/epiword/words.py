@@ -129,7 +129,7 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccurrenceTuple:
     """Per-letter occurrence counts of a word (its Parikh vector).
 

@@ -9,7 +9,8 @@ per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
 roots by building each part's word anew, tree paths by one subtraction
 and one node per step, admissible tuples by reducing every composition,
-and Stern-Brocot diagonals by reading each mediant level in turn.
+mediant rows by one ``mediant`` call per neighbouring pair, and Stern-Brocot
+diagonals by reading each level of those rows in turn.
 """
 
 from dataclasses import dataclass
@@ -33,13 +34,14 @@ from epiword import (
     construct,
     default_alphabet,
     least_rotation,
+    mediant,
     parikh,
     path_labels,
 )
 from epiword.epichristoffel import split_construction
 from epiword.errors import AllZeroError, NotInTreeError, RootSelectionError
 from epiword.morphisms import apply
-from epiword.trees import _solve_seed_combination, sb_level_stream
+from epiword.trees import _solve_seed_combination
 
 
 def naive_least_rotation(w: Word) -> tuple[Word, int]:
@@ -298,18 +300,27 @@ def naive_tuples_of_length(n: int, k: int, require_all_letters: bool = False) ->
     return [p for p in candidates if admissibility(p).admissible]
 
 
+def naive_insert_mediants(seq):
+    """One round of mediant insertion, one ``mediant`` call per neighbouring pair."""
+    merged = [seq[0]] * (2 * len(seq) - 1)
+    merged[0::2] = seq
+    merged[1::2] = [mediant(a, b) for a, b in zip(seq, seq[1:])]
+    return merged
+
+
 @cache
 def _sb_levels(seed):
-    """A seed's level stream and the levels read from it so far, shared between calls."""
-    return sb_level_stream(seed), []
+    """A seed's latest row and the levels built so far, shared between calls."""
+    return [list(seed)], []
 
 
 def naive_sb_diagonal(seed, side: str, k: int):
     """The k-th entry from ``side`` of every mediant level that has one, level by level."""
-    stream, built = _sb_levels(seed)
+    row, built = _sb_levels(seed)
     for i in count():
         if i == len(built):
-            built.append(next(stream))
-        entries = built[i].entries
+            row[0] = naive_insert_mediants(row[0])
+            built.append(row[0][1::2])
+        entries = built[i]
         if len(entries) >= k:
             yield entries[k - 1] if side == "L" else entries[len(entries) - k]

@@ -290,6 +290,51 @@ def test_trees_inside_the_letter_budget_print_as_before(args, letters, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "root, fmt, digest",
+    [
+        ((), "text", "26c09b6523f26eb87e2c78d214308311d2bccf84bb8ada3a47f10ac39071433c"),
+        ((), "json", "39c7a700ec4785deeb15440a9b48a7f7f9d045d35b2aeede3b48f33e84f2f6a2"),
+        ((), "dot", "82ac204597d1c1584a1d7ba31146e258777eba2af0a8b61ba6a6b1570f251601"),
+        (("--root", "1,2,4"), "text", "caafd32395b82d577590facbc3bb7d5f5855aabe68f42d6a9a8fffed9f32bfcd"),
+        (("--root", "1,2,4"), "json", "d2641df37426b79c02028ce5aba65df24e1b36d85a55b03848beea512a3f77bd"),
+        (("--root", "1,2,4"), "dot", "865ad338f06d226e030cbf03980e343012e603af2da5f7ca88f3574d730477e6"),
+    ],
+)
+def test_sb_trees_print_as_before(root, fmt, digest):
+    result = run("tree", "sb", *root, "--depth", "12", "--format", fmt)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_sb_tree_over_the_entry_budget_exits_2_before_any_level(monkeypatch):
+    monkeypatch.setenv("EPIWORD_MAX_DEPTH", "40")
+    built = []
+
+    def recording(seed, count):
+        built.append(count)
+        return []
+
+    monkeypatch.setattr("epiword.cli.stern_brocot_levels", recording)
+    # Depth 20 holds 2^20 - 1 entries, inside the budget of MAX_WORD_LENGTH = 2^20; depth 21 does not.
+    assert run("tree", "sb", "--depth", "20").exit_code == 0
+    assert built == [20]
+    for depth in (21, 40):
+        for root in ((), ("--root", "1,2,4")):
+            result = run("tree", "sb", *root, "--depth", str(depth))
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == f"error: tree of 2^{depth} - 1 entries exceeds the budget\n"
+    assert built == [20]
+    # Levels 1..3 hold 7 entries: a budget of 7 prints them, 6 refuses them.
+    monkeypatch.undo()
+    monkeypatch.setattr("epiword.cli.MAX_SB_ENTRIES", 7)
+    assert run("tree", "sb", "--depth", "3").stdout.count("/") == 7
+    monkeypatch.setattr("epiword.cli.MAX_SB_ENTRIES", 6)
+    result = run("tree", "sb", "--depth", "3")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: tree of 2^3 - 1 entries exceeds the budget\n"
+
+
 def test_commands_are_deterministic():
     for args in (
         ("tree", "epi", "--root", "1,2,4", "--depth", "3", "--format", "json"),

@@ -172,6 +172,15 @@ def test_construct_and_split_match_the_per_atom_oracle(p):
             assert split_construction(r) == expected_split
 
 
+@settings(max_examples=100, deadline=None)
+@given(grown_tuples(max_total=10**4))
+def test_split_tuples_from_the_runs_count_each_part(p):
+    assume(p.total() > 1)  # unit tuples have no split
+    for rule in TIE_BREAKS:
+        s = split_construction(construct(p, tie_break=rule))
+        assert (s.u_tuple, s.v_tuple) == (parikh(s.u), parikh(s.v))
+
+
 @st.composite
 def near_misses(draw, max_total=10_000):
     """A grown tuple with one entry moved by one, kept non-negative and nonzero."""

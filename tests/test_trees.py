@@ -1,3 +1,4 @@
+import gc
 import time
 from itertools import islice
 from math import gcd
@@ -38,7 +39,7 @@ from epiword import (
     tree_levels,
 )
 from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
-from oracles import naive_epichristoffel_tree, naive_sb_diagonal, naive_walk_to_tuple
+from oracles import naive_epichristoffel_tree, naive_insert_mediants, naive_sb_diagonal, naive_walk_to_tuple
 from strategies import grown_tuples
 
 T = OccurrenceTuple
@@ -116,6 +117,71 @@ def test_tuple_levels():
     assert [e.counts for e in sb_sequence(seed, 2)] == [
         (1, 1, 2), (2, 3, 6), (1, 2, 4), (1, 3, 6), (0, 1, 2),
     ]
+
+
+def naive_rows(seed, rounds):
+    """The seed pair and the row after each of ``rounds`` rounds, by the per-pair oracle."""
+    rows = [list(seed)]
+    for _ in range(rounds):
+        rows.append(naive_insert_mediants(rows[-1]))
+    return rows
+
+
+fractions = st.tuples(st.integers(0, 50), st.integers(0, 50)).filter(any).map(lambda p: Fraction(*p))
+
+
+def tuples_of(k):
+    return st.lists(st.integers(0, 50), min_size=k, max_size=k).map(lambda c: T(tuple(c)))
+
+
+tuple_seeds = st.integers(2, 6).flatmap(lambda k: st.tuples(tuples_of(k), tuples_of(k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(fractions, fractions) | tuple_seeds, st.integers(0, 10))
+def test_mediant_rows_match_the_per_pair_oracle(seed, rounds):
+    rows = naive_rows(seed, rounds)
+    assert sb_sequence(seed, rounds) == rows[-1]
+    levels = stern_brocot_levels(seed, rounds)
+    assert [level.index for level in levels] == list(range(1, rounds + 1))
+    assert [list(level.entries) for level in levels] == [row[1::2] for row in rows[1:]]
+
+
+mismatched_seeds = (
+    st.tuples(fractions, st.integers(2, 6).flatmap(tuples_of))
+    | st.tuples(st.integers(2, 6).flatmap(tuples_of), fractions)
+    | st.tuples(st.integers(2, 6), st.integers(2, 6))
+    .filter(lambda ks: ks[0] != ks[1])
+    .flatmap(lambda ks: st.tuples(tuples_of(ks[0]), tuples_of(ks[1])))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mismatched_seeds, st.integers(1, 10))
+def test_mismatched_seeds_raise_as_the_per_pair_oracle_does(seed, rounds):
+    want = outcome(naive_rows, seed, rounds)
+    assert want[0] is DimensionMismatchError
+    assert outcome(sb_sequence, seed, rounds) == want
+    assert outcome(stern_brocot_levels, seed, rounds) == want
+
+
+def test_levels_take_under_three_quarters_of_the_per_pair_oracle():
+    seed = (T((1, 2, 4)), T((2, 3, 9)))
+    fast = slow = float("inf")
+    # A collection walks every object earlier tests left alive, so its cost says nothing of either builder.
+    gc.disable()
+    try:
+        for _ in range(3):
+            start = time.perf_counter()
+            levels = stern_brocot_levels(seed, 14)
+            fast = min(fast, time.perf_counter() - start)
+            start = time.perf_counter()
+            want = [tuple(row[1::2]) for row in naive_rows(seed, 14)[1:]]
+            slow = min(slow, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert [level.entries for level in levels] == want
+    assert fast < 0.75 * slow, (fast, slow)
 
 
 def test_epichristoffel_tree_roots():
@@ -256,12 +322,13 @@ def test_diagonal_of_an_advanced_stream_starts_at_its_next_level():
             assert next(stream) == stern_brocot_levels(seed, first + 3)[-1]
 
 
-def refuse_mediant(a, b):
+def refuse_level(*args):
     raise AssertionError("a diagonal built a mediant level")
 
 
 def test_diagonal_of_a_stream_builds_no_level(monkeypatch):
-    monkeypatch.setattr("epiword.trees.mediant", refuse_mediant)
+    monkeypatch.setattr("epiword.trees.mediant", refuse_level)
+    monkeypatch.setattr("epiword.trees._insert_mediants", refuse_level)
     got = frs(islice(diagonal(sb_level_stream(CLASSICAL_SEED), "L", 10**18), 3))
     assert got == ["572471677/203949877", "572471677/776421554", "572471677/1348893231"]
     best = float("inf")
