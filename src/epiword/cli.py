@@ -3,25 +3,27 @@
 Exit codes: 0 success, 1 valid-but-negative answer (rejected tuple, no
 tuples found), 2 input or domain error: every library error (EpiwordError,
 ValueError) exits 2 with ``error: <message>`` from one handler on the group.
-EPIWORD_MAX_DEPTH caps tree depth (default 12 when unset or empty; other
-values must be non-negative integers); ``christoffel --draw`` refuses grids
-of more than MAX_WORD_LENGTH cells, and ``tuple --trace`` traces of more
-than MAX_WORD_LENGTH steps. A word tree to depth D prints exactly
-(|u|+|v|)(3^(D+1)-1)/2 letters, so ``tree christoffel`` and ``tree epi``
-refuse more than MAX_TREE_LETTERS (16 * MAX_WORD_LENGTH) letters before
-any output. ``tree sb`` to depth D prints 2^D - 1 entries, so it refuses
-more than MAX_SB_ENTRIES (MAX_WORD_LENGTH: any depth over 20) before any
-work; its levels are built by row-wide column passes. ``diagonal`` costs
-O(log k + count) integer steps and builds no tree level, so ``--k`` is not
-bounded by memory.
+``christoffel --draw`` refuses grids of more than MAX_WORD_LENGTH cells, and
+``tuple --trace`` traces of more than MAX_WORD_LENGTH steps. A tree's size is
+known before any work, and the tree is written as it is walked. A word tree to
+depth D prints (|u|+|v|)(3^(D+1)-1)/2 letters, and its longest node word is the
+largest entry of mediant level D+1 grown from (|u|, |v|), so ``tree
+christoffel`` and ``tree epi`` refuse more than MAX_TREE_LETTERS (16 *
+MAX_WORD_LENGTH) letters or a word over MAX_WORD_LENGTH: no word tree goes
+deeper than 14, and ``tree christoffel --depth 14 --format json`` writes 16 MB
+in 0.7 s at 21 MB peak RSS. ``tree sb`` to depth D prints 2^D - 1 entries, so
+it refuses more than MAX_SB_ENTRIES (MAX_WORD_LENGTH): ``--depth 20 --root
+1,2,4`` takes 5-7 s at about 290 MB, nearly all of it the last row. ``diagonal``
+costs O(log k + count) integer steps and builds no tree level, so ``--k`` is
+not bounded by memory.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from itertools import islice
+from typing import Iterable, Iterator
 
 import click
 
@@ -44,11 +46,10 @@ from .trees import (
     diagonal,
     epichristoffel_tree,
     sb_level_stream,
-    stern_brocot_levels,
+    sb_sequence,
 )
 from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet, parikh
 
-DEFAULT_MAX_DEPTH = 12
 # Most letters a word tree may print; `tree epi --root 1,2,4 --depth 12` prints 5.6 M.
 MAX_TREE_LETTERS = 16 * MAX_WORD_LENGTH
 # Most entries `tree sb` may print: levels 1..D hold 2^D - 1, so depth 20 is the deepest.
@@ -73,87 +74,83 @@ def _seed(root_counts: str | None, symbols: str | None) -> tuple:
     return parikh(root.u), parikh(root.v)
 
 
-def _check_depth(depth: int) -> None:
-    raw = os.environ.get("EPIWORD_MAX_DEPTH", "")
-    try:
-        cap = int(raw) if raw else DEFAULT_MAX_DEPTH
-    except ValueError:
-        cap = -1  # rejected below, with the negative values
-    if cap < 0:
-        _fail(f"EPIWORD_MAX_DEPTH must be a non-negative integer, got {raw!r}")
-    if depth < 0:
-        _fail("depth must be non-negative")
-    if depth > cap:
-        _fail(f"depth {depth} exceeds EPIWORD_MAX_DEPTH ({cap})")
+def _write(pieces: Iterable[str]) -> None:
+    """Write each piece to the stdout stream ``click.echo`` uses as it is produced, with one flush at the end."""
+    out = click.get_text_stream("stdout", errors=None)
+    out.writelines(pieces)
+    out.flush()
 
 
-def tree_to_dict(node: TreeNode, depth: int) -> dict:
-    """JSON form of a word tree: node = {u, v, tuple, children}."""
-    children = [] if depth == 0 else [tree_to_dict(c, depth - 1) for c in node.children()]
-    return {
-        "u": str(node.u),
-        "v": str(node.v),
-        "tuple": list(parikh(node.word).counts),
-        "children": children,
-    }
-
-
-def _render_word_tree_text(node: TreeNode, depth: int, indent: int = 0) -> list[str]:
-    lines = [f"{'  ' * indent}{node}"]
-    if depth > 0:
-        for child in node.children():
-            lines.extend(_render_word_tree_text(child, depth - 1, indent + 1))
-    return lines
-
-
-def _render_word_tree_dot(node: TreeNode, depth: int, name: str = "tree") -> str:
-    lines = [f"digraph {name} {{"]
-
-    def visit(n: TreeNode, node_id: str, remaining: int) -> None:
-        lines.append(f'  "{node_id}" [label="{n}"];')
-        if remaining > 0:
-            for suffix, child in zip("LR", n.children()):
-                child_id = node_id + suffix
-                visit(child, child_id, remaining - 1)
-                lines.append(f'  "{node_id}" -> "{child_id}";')
-
-    visit(node, "n", depth)
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _emit_word_tree(node: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> None:
-    # Level d holds 3^d (|u|+|v|) letters, so the whole tree's size is known before any work.
-    letters = (len(node.u) + len(node.v)) * (3 ** (depth + 1) - 1) // 2
+def _check_word_tree(node: TreeNode, depth: int) -> None:
+    """Refuse a word tree over the letter budget, or with a node word over the length budget."""
+    size = len(node.u) + len(node.v)
+    # From the budget's bit length on, 3^(D+1) - 1 > 2^D exceeds it; 3^(D+1) itself may not fit memory.
+    if depth >= MAX_TREE_LETTERS.bit_length():
+        raise WordLengthOverflow(f"tree of {size}(3^{depth + 1} - 1)/2 letters exceeds the budget")
+    letters = size * (3 ** (depth + 1) - 1) // 2
     if letters > MAX_TREE_LETTERS:
         raise WordLengthOverflow(f"tree of {letters} letters exceeds the budget")
-    # Each renderer builds its whole string first: an overflow exits 2 before any output.
-    if fmt == "text":
-        click.echo("\n".join(_render_word_tree_text(node, depth)))
-    elif fmt == "json":
-        payload = {"alphabet": alphabet.symbols, "root": tree_to_dict(node, depth)}
-        click.echo(json.dumps(payload))
-    else:
-        click.echo(_render_word_tree_dot(node, depth))
+    # The nodes at depth D are the longest; their lengths are mediant level D + 1 grown from (|u|, |v|).
+    lengths = sb_sequence((OccurrenceTuple((len(node.u),)), OccurrenceTuple((len(node.v),))), depth + 1)
+    if max(map(OccurrenceTuple.total, lengths)) > MAX_WORD_LENGTH:
+        raise WordLengthOverflow("child word would exceed the length budget")
 
 
-def _emit_sb_levels(levels, fmt: str) -> None:
-    if fmt == "text":
-        for level in levels:
-            click.echo(f"level {level.index}: " + ", ".join(str(e) for e in level.entries))
-    elif fmt == "json":
-        payload = {"levels": [[str(e) for e in level.entries] for level in levels]}
-        click.echo(json.dumps(payload))
-    else:
-        # Level i entry p has children 2p and 2p+1 on level i+1.
-        lines = ["digraph sb {"]
-        for level in levels:
+def _walk(root: TreeNode, depth: int) -> Iterator[tuple[bool, str, str, str]]:
+    """Preorder events to ``depth``: (True, u, v, path) on entering a node, (False, u, v, path) on leaving it.
+
+    u, v and the children (u, uv), (uv, v) come rendered, as each letter renders to one symbol.
+    ``path`` is "n", then one L or R per step; the stack holds it and the right siblings to come.
+    """
+    stack = [(True, str(root.u), str(root.v), "n")]
+    while stack:
+        entering, u, v, path = event = stack.pop()
+        yield event
+        if entering:
+            stack.append((False, u, v, path))
+            if len(path) <= depth:
+                uv = u + v
+                stack += [(True, uv, v, path + "R"), (True, u, uv, path + "L")]
+
+
+def _word_tree_pieces(root: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> Iterator[str]:
+    """A word tree as text, dot, or json as ``json.dumps`` writes {alphabet, root: {u, v, tuple, children}}."""
+    head = f'{{"alphabet": {json.dumps(alphabet.symbols)}, "root": '
+    yield {"text": "", "dot": "digraph tree {\n", "json": head}[fmt]
+    for entering, u, v, path in _walk(root, depth):
+        if fmt == "json" and entering:
+            counts = ", ".join(str(u.count(s) + v.count(s)) for s in alphabet.symbols)
+            sep = ", " if path[-1] == "R" else ""
+            yield f'{sep}{{"u": {json.dumps(u)}, "v": {json.dumps(v)}, "tuple": [{counts}], "children": ['
+        elif fmt == "json":
+            yield "]}"
+        elif fmt == "text" and entering:
+            yield f"{'  ' * (len(path) - 1)}({u}, {v})\n"
+        elif entering:
+            yield f'  "{path}" [label="({u}, {v})"];\n'
+        elif fmt == "dot" and len(path) > 1:
+            yield f'  "{path[:-1]}" -> "{path}";\n'
+    yield "" if fmt == "text" else "}\n"
+
+
+def _sb_pieces(levels: Iterable, fmt: str) -> Iterator[str]:
+    """The text, dot or json form of Stern-Brocot levels, a level at a time."""
+    yield {"text": "", "json": '{"levels": [', "dot": "digraph sb {\n"}[fmt]
+    for level in levels:
+        if fmt == "text":
+            yield f"level {level.index}: " + ", ".join(map(str, level.entries)) + "\n"
+        elif fmt == "json":
+            sep = ", " if level.index > 1 else ""
+            yield sep + "[" + ", ".join(json.dumps(str(e)) for e in level.entries) + "]"
+        else:
+            # Level i entry p has children 2p and 2p+1 on level i+1.
+            lines = []
             for pos, entry in enumerate(level.entries):
-                lines.append(f'  "n{level.index}_{pos}" [label="{entry}"];')
+                lines.append(f'  "n{level.index}_{pos}" [label="{entry}"];\n')
                 if level.index > 1:
-                    lines.append(f'  "n{level.index - 1}_{pos // 2}" -> "n{level.index}_{pos}";')
-        lines.append("}")
-        click.echo("\n".join(lines))
+                    lines.append(f'  "n{level.index - 1}_{pos // 2}" -> "n{level.index}_{pos}";\n')
+            yield "".join(lines)
+    yield {"text": "", "json": "]}\n", "dot": "}\n"}[fmt]
 
 
 def _draw_path(slope: Slope) -> str:
@@ -261,13 +258,14 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: str | None) -> None:
     """Emit a tree of the chosen KIND."""
-    _check_depth(depth)
+    if depth < 0:
+        _fail("depth must be non-negative")
     if kind == "sb":
         # 2^D - 1 > MAX_SB_ENTRIES exactly when D reaches this bit length; 2^D itself may not fit memory.
         if depth >= (MAX_SB_ENTRIES + 1).bit_length():
             raise WordLengthOverflow(f"tree of 2^{depth} - 1 entries exceeds the budget")
         # Stern-Brocot: classical fractions, or the tuple tree of an epi root.
-        _emit_sb_levels(stern_brocot_levels(_seed(root_counts, symbols), depth), fmt)
+        _write(_sb_pieces(islice(sb_level_stream(_seed(root_counts, symbols)), depth), fmt))
         return
     if kind == "christoffel":
         alphabet = _alphabet_for(2, symbols)
@@ -278,7 +276,8 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
         p = OccurrenceTuple.parse(root_counts)
         alphabet = _alphabet_for(p.k, symbols)
         root = epichristoffel_tree(p, alphabet)
-    _emit_word_tree(root, depth, fmt, alphabet)
+    _check_word_tree(root, depth)
+    _write(_word_tree_pieces(root, depth, fmt, alphabet))
 
 
 @main.command("find")

@@ -241,15 +241,14 @@ def canonical_split(
 
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
-    """The canonical split of a built construction: its letter images before the last atom, O(n + k*runs)."""
+    """The canonical split of a built construction, its letter images before the last atom: u*v cut after |u|."""
     runs = result.trace.runs
     if not runs:
         raise TrivialTupleError("unit tuples have no two-factor split")
-    alphabet = result.c_word.alphabet
-    u, v = _split_images(runs, result.terminal_letter, alphabet.size)
-    assert u + v == result.c_word.letters
-    u_tuple, v_tuple = _split_counts(runs, result.terminal_letter, alphabet.size)
-    return CanonicalSplit(Word._trusted(u, alphabet), Word._trusted(v, alphabet), u_tuple, v_tuple)
+    c_word = result.c_word
+    u_tuple, v_tuple = _split_counts(runs, result.terminal_letter, c_word.alphabet.size)
+    cut = u_tuple.total()
+    return CanonicalSplit(c_word[:cut], c_word[cut:], u_tuple, v_tuple)
 
 
 def is_epichristoffel_word(w: Word) -> bool:

@@ -9,12 +9,13 @@ per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
 roots by building each part's word anew, tree paths by one subtraction
 and one node per step, admissible tuples by reducing every composition,
-mediant rows by one ``mediant`` call per neighbouring pair, and Stern-Brocot
-diagonals by reading each level of those rows in turn.
+mediant rows by one ``mediant`` call per neighbouring pair, Stern-Brocot
+diagonals by reading each level of those rows in turn, and the JSON form of
+a word tree by building it whole as nested dicts.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import combinations, count
 from math import gcd
 
@@ -308,9 +309,9 @@ def naive_insert_mediants(seq):
     return merged
 
 
-@cache
+@lru_cache(maxsize=1)
 def _sb_levels(seed):
-    """A seed's latest row and the levels built so far, shared between calls."""
+    """A seed's latest row and the levels built so far, shared between calls on the same seed."""
     return [list(seed)], []
 
 
@@ -324,3 +325,14 @@ def naive_sb_diagonal(seed, side: str, k: int):
         entries = built[i]
         if len(entries) >= k:
             yield entries[k - 1] if side == "L" else entries[len(entries) - k]
+
+
+def tree_to_dict(node: TreeNode, depth: int) -> dict:
+    """JSON form of a word tree: node = {u, v, tuple, children}."""
+    children = [] if depth == 0 else [tree_to_dict(c, depth - 1) for c in node.children()]
+    return {
+        "u": str(node.u),
+        "v": str(node.v),
+        "tuple": list(parikh(node.word).counts),
+        "children": children,
+    }

@@ -1,12 +1,25 @@
 import hashlib
+import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
-from epiword import TERNARY, Alphabet, TreeNode, epichristoffel_tree, OccurrenceTuple, tree_levels
-from epiword.cli import main, tree_to_dict
+from epiword import (
+    BINARY,
+    CLASSICAL_SEED,
+    TERNARY,
+    Alphabet,
+    OccurrenceTuple,
+    TreeNode,
+    christoffel_tree,
+    epichristoffel_tree,
+    tree_levels,
+)
+from epiword.cli import _word_tree_pieces, _write, main
+from oracles import tree_to_dict
 
 
 def run(*args, env=None):
@@ -142,26 +155,6 @@ def test_tree_requires_root_for_epi():
     assert result.exit_code == 2
 
 
-def test_tree_depth_cap():
-    result = run("tree", "epi", "--root", "1,2,4", "--depth", "9", env={"EPIWORD_MAX_DEPTH": "5"})
-    assert result.exit_code == 2
-    assert "EPIWORD_MAX_DEPTH" in result.stderr
-    result = run("tree", "christoffel", "--depth", "13")
-    assert result.exit_code == 2
-    result = run("tree", "christoffel", "--depth", "1", env={"EPIWORD_MAX_DEPTH": ""})
-    assert result.exit_code == 0
-    result = run("tree", "christoffel", "--depth", "13", env={"EPIWORD_MAX_DEPTH": ""})
-    assert result.exit_code == 2 and "(12)" in result.stderr
-
-
-def test_tree_depth_cap_rejects_bad_settings():
-    for raw in ("abc", "-1", "1.5"):
-        result = run("tree", "christoffel", "--depth", "0", env={"EPIWORD_MAX_DEPTH": raw})
-        assert result.exit_code == 2, raw
-        assert "EPIWORD_MAX_DEPTH" in result.stderr and repr(raw) in result.stderr
-        assert result.stdout == ""
-
-
 def test_tree_json_roundtrip():
     result = run("tree", "epi", "--root", "1,2,4", "--depth", "3", "--format", "json")
     payload = json.loads(result.output)
@@ -171,6 +164,18 @@ def test_tree_json_roundtrip():
     assert rebuilt == direct
     assert tree_to_dict(rebuilt, 3) == payload["root"]
     assert tree_levels(rebuilt, 3) == tree_levels(direct, 3)
+    # The json is written by hand, byte for byte as json.dumps writes the nested dicts,
+    # also for symbols that json must escape.
+    quoted, accented = Alphabet('"\\'), Alphabet('"\\\u00e9')
+    for args, alphabet, direct in (
+        (("epi", "--root", "1,2,4"), TERNARY, epichristoffel_tree(OccurrenceTuple((1, 2, 4)))),
+        (("christoffel",), quoted, christoffel_tree(quoted)),
+        (("epi", "--root", "1,2,4"), accented, epichristoffel_tree(OccurrenceTuple((1, 2, 4)), accented)),
+    ):
+        result = run("tree", *args, "--depth", "3", "--format", "json", "--alphabet", alphabet.symbols)
+        assert tree_from_dict(json.loads(result.output)["root"], alphabet) == direct
+        payload = {"alphabet": alphabet.symbols, "root": tree_to_dict(direct, 3)}
+        assert result.output == json.dumps(payload) + "\n"
 
 
 def test_tree_dot_output():
@@ -276,18 +281,93 @@ def test_tree_over_the_letter_budget_exits_2_before_any_output(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args, letters, digest",
+    "args, letters, digests",
     [
-        (("christoffel",), 1_594_322, "3062807628d215241f2fcb9784a48b4f3cf23b7d6f77942731e41b7303100a22"),
-        (("epi", "--root", "1,2,4"), 5_580_127, "19ca516a1c30c4083bc4a13dc9bb26d1a5d2837251c80c6e127abbd50dc28910"),
+        (("christoffel",), 1_594_322, {
+            "text": "3062807628d215241f2fcb9784a48b4f3cf23b7d6f77942731e41b7303100a22",
+            "json": "271757f34741e3c5ed25383aafbcc4cd717914e24a0101677c34e142375fe9e4",
+            "dot": "af5f15b9d3759c2ae6e99400c7cdb1414a3799b1c2b5021fcb6d63dfc2a0bc75",
+        }),
+        (("epi", "--root", "1,2,4"), 5_580_127, {
+            "text": "19ca516a1c30c4083bc4a13dc9bb26d1a5d2837251c80c6e127abbd50dc28910",
+            "json": "f16394607a4a3c691483ae9192681e1697b43af8afee00d52d729de2889b5699",
+            "dot": "1f7d61fa559c79f9ba384ad92e31ade7cae7a9da6ab9fbe513133c61ec5949f2",
+        }),
     ],
     ids=["christoffel", "epi-1,2,4"],
 )
-def test_trees_inside_the_letter_budget_print_as_before(args, letters, digest):
-    result = run("tree", *args, "--depth", "12")
+def test_trees_inside_the_letter_budget_print_as_before(args, letters, digests):
+    for fmt, digest in digests.items():
+        result = run("tree", *args, "--depth", "12", "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, fmt
+        if fmt == "text":
+            assert sum(ch.isalpha() for ch in result.stdout) == letters
+
+
+def test_word_tree_is_written_as_it_is_walked(monkeypatch):
+    class Sink(io.TextIOBase):
+        """A text stream that counts what it is given and keeps none of it."""
+
+        written = 0
+
+        def write(self, piece: str) -> int:
+            self.written += len(piece)
+            return len(piece)
+
+    sink = Sink()
+    monkeypatch.setattr("epiword.cli.click.get_text_stream", lambda *args, **kwargs: sink)
+    tracemalloc.start()
+    try:
+        _write(_word_tree_pieces(christoffel_tree(), 12, "json", BINARY))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == 2_042_942  # the bytes of `tree christoffel --depth 12 --format json`
+    assert peak < sink.written / 4, (peak, sink.written)
+
+
+def test_word_tree_over_the_word_length_budget_exits_2_before_any_output(monkeypatch):
+    start = time.perf_counter()
+    # 3.6 M letters, inside the letter budget, but each child of the root is longer than MAX_WORD_LENGTH.
+    result = run("tree", "epi", "--root", "1,1,899998", "--depth", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: child word would exceed the length budget\n"
+    # The longest node of (x, y) to depth 2 is (xxy, xy), of 5 letters: a budget of 5 prints it, 4 refuses it.
+    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 5)
+    assert run("tree", "christoffel", "--depth", "2").stdout.count("\n") == 7
+    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 4)
+    result = run("tree", "christoffel", "--depth", "2")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: child word would exceed the length budget\n"
+
+
+@pytest.mark.parametrize("root", [(), ("--root", "1,2,4"), ("--root", "3,2,1"), ("--root", "1,2,4,8")])
+def test_word_tree_longest_node_check_matches_the_built_levels(monkeypatch, root):
+    kind = "epi" if root else "christoffel"
+    node = epichristoffel_tree(OccurrenceTuple.parse(root[1])) if root else christoffel_tree()
+    for depth in range(5):
+        longest = max(len(n.word) for level in tree_levels(node, depth) for n in level)
+        monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", longest)
+        assert run("tree", kind, *root, "--depth", str(depth)).exit_code == 0
+        monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", longest - 1)
+        assert run("tree", kind, *root, "--depth", str(depth)).exit_code == 2
+
+
+@pytest.mark.parametrize("args", [("christoffel",), ("epi", "--root", "1,2,4"), ("sb",)])
+def test_trees_of_a_huge_depth_exit_2_at_once(args):
+    start = time.perf_counter()
+    result = run("tree", *args, "--depth", str(10**12))
+    assert time.perf_counter() - start < 1.0
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: tree of ") and result.stderr.endswith(" exceeds the budget\n")
+
+
+def test_trees_deeper_than_twelve_print_inside_the_budgets():
+    result = run("tree", "christoffel", "--depth", "13")
     assert result.exit_code == 0
-    assert sum(ch.isalpha() for ch in result.stdout) == letters
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+    assert sum(ch.isalpha() for ch in result.stdout) == 2 * (3**14 - 1) // 2
 
 
 @pytest.mark.parametrize(
@@ -308,23 +388,22 @@ def test_sb_trees_print_as_before(root, fmt, digest):
 
 
 def test_sb_tree_over_the_entry_budget_exits_2_before_any_level(monkeypatch):
-    monkeypatch.setenv("EPIWORD_MAX_DEPTH", "40")
     built = []
 
-    def recording(seed, count):
-        built.append(count)
-        return []
+    def recording(seed):
+        built.append(seed)
+        return iter(())
 
-    monkeypatch.setattr("epiword.cli.stern_brocot_levels", recording)
+    monkeypatch.setattr("epiword.cli.sb_level_stream", recording)
     # Depth 20 holds 2^20 - 1 entries, inside the budget of MAX_WORD_LENGTH = 2^20; depth 21 does not.
     assert run("tree", "sb", "--depth", "20").exit_code == 0
-    assert built == [20]
+    assert built == [CLASSICAL_SEED]
     for depth in (21, 40):
         for root in ((), ("--root", "1,2,4")):
             result = run("tree", "sb", *root, "--depth", str(depth))
             assert (result.exit_code, result.stdout) == (2, "")
             assert result.stderr == f"error: tree of 2^{depth} - 1 entries exceeds the budget\n"
-    assert built == [20]
+    assert built == [CLASSICAL_SEED]
     # Levels 1..3 hold 7 entries: a budget of 7 prints them, 6 refuses them.
     monkeypatch.undo()
     monkeypatch.setattr("epiword.cli.MAX_SB_ENTRIES", 7)

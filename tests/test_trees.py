@@ -1,5 +1,3 @@
-import gc
-import time
 from itertools import islice
 from math import gcd
 
@@ -41,6 +39,7 @@ from epiword import (
 from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
 from oracles import naive_epichristoffel_tree, naive_insert_mediants, naive_sb_diagonal, naive_walk_to_tuple
 from strategies import grown_tuples
+from timing import best_of
 
 T = OccurrenceTuple
 TIE_BREAKS = ("recent", "smallest", "largest")
@@ -167,19 +166,8 @@ def test_mismatched_seeds_raise_as_the_per_pair_oracle_does(seed, rounds):
 
 def test_levels_take_under_three_quarters_of_the_per_pair_oracle():
     seed = (T((1, 2, 4)), T((2, 3, 9)))
-    fast = slow = float("inf")
-    # A collection walks every object earlier tests left alive, so its cost says nothing of either builder.
-    gc.disable()
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            levels = stern_brocot_levels(seed, 14)
-            fast = min(fast, time.perf_counter() - start)
-            start = time.perf_counter()
-            want = [tuple(row[1::2]) for row in naive_rows(seed, 14)[1:]]
-            slow = min(slow, time.perf_counter() - start)
-    finally:
-        gc.enable()
+    fast, levels = best_of(3, lambda: stern_brocot_levels(seed, 14))
+    slow, want = best_of(3, lambda: [tuple(row[1::2]) for row in naive_rows(seed, 14)[1:]])
     assert [level.entries for level in levels] == want
     assert fast < 0.75 * slow, (fast, slow)
 
@@ -331,11 +319,7 @@ def test_diagonal_of_a_stream_builds_no_level(monkeypatch):
     monkeypatch.setattr("epiword.trees._insert_mediants", refuse_level)
     got = frs(islice(diagonal(sb_level_stream(CLASSICAL_SEED), "L", 10**18), 3))
     assert got == ["572471677/203949877", "572471677/776421554", "572471677/1348893231"]
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        list(islice(diagonal(sb_level_stream(SB_SEEDS[2]), "R", 100_000), 5))
-        best = min(best, time.perf_counter() - start)
+    best, _ = best_of(3, lambda: list(islice(diagonal(sb_level_stream(SB_SEEDS[2]), "R", 100_000), 5)))
     assert best < 0.01
 
 
@@ -474,11 +458,7 @@ def test_tree_root_constructs_once(monkeypatch):
 
 def test_tree_root_of_a_long_run_takes_milliseconds():
     p = T((1, 1, 16_000))
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        root = epichristoffel_tree(p)
-        best = min(best, time.perf_counter() - start)
+    best, root = best_of(3, lambda: epichristoffel_tree(p))
     assert best < 0.015
     assert root == naive_epichristoffel_tree(p)
 
