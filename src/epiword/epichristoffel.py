@@ -5,24 +5,28 @@ replacing its maximal entry p_i by p_i minus the sum of all other entries
 reaches a unit vector: a subtractive Euclid algorithm, run here by division.
 The q steps that reduce one index in a row are one run (i, q), found by one
 division, so a trace holds O(k log max) runs and expands its steps on demand.
-Each step is one ``Psi`` atom; the atoms map the letter left standing to a
-word whose least rotation is the epichristoffel word. It is built from letter
-images: taking the runs outermost first, Psi_a^q sets img[c] = img[a]^q img[c]
-for c != a, O(n + k*runs) in all. Before the last atom, u = img[its letter]
-and v = img[terminal] are the canonical split, and the word is u*v. Their
-letter counts follow from the runs alone, in O(k*runs).
+Each step is one ``Psi`` atom; the atoms map the letter left standing to the
+c-word. It is built from letter images as a string of code points: taking the
+runs outermost first, Psi_a^q sets img[c] = img[a]^q img[c] for c != a. Before
+the last atom, u = img[its letter] and v = img[terminal] are the canonical
+split, and the c-word is u*v; their letter counts follow from the runs alone,
+in O(k*runs). The epichristoffel word, the Lyndon conjugate of the c-word, is
+built the same way with no rotation searched: each run is applied as Psi_a or
+as its conjugate Psi-bar_a (c -> ca), whichever makes every occurrence of the
+least letter start an image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Sequence
+from itertools import accumulate, repeat
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
 from .errors import TrivialTupleError, WordLengthOverflow
 from .morphisms import MorphismSeq, Psi
-from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, default_alphabet, least_rotation, parikh
+from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code, _code_counts, _word, default_alphabet
 
 TieBreak = Literal["recent", "smallest", "largest"]
 
@@ -170,14 +174,28 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
     raise AssertionError(f"reduction of {p} did not terminate")
 
 
-def _split_images(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Letters of u and v. By Justin's formula Pal(wc) = Psi_w(c) Pal(w), no image outgrows u*v."""
+def _outer_atoms(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The runs without the innermost atom, the one the canonical split peels; a unit tuple has none."""
+    if not runs:
+        raise TrivialTupleError("unit tuples have no two-factor split")
     *outer, (last, q) = runs
-    img = [(c,) for c in range(k)]
-    for a, n in (*outer, (last, q - 1)):
+    return (*outer, (last, q - 1)) if q > 1 else tuple(outer)
+
+
+def _image(runs: Sequence[tuple[int, int]], letter: int, k: int, prepend: Iterable[bool]) -> str:
+    """The image of ``letter`` under the runs' atoms, as a code string, with one flag per run in ``prepend``.
+
+    Taking the runs outermost first, Psi_a^n sets img[c] = img[a]^n img[c] and
+    Psi-bar_a^n sets img[c] = img[c] img[a]^n, for c != a; the flag picks Psi_a.
+    Both map a letter to words of the same length. By Justin's formula
+    Pal(wc) = Psi_w(c) Pal(w), no image under all atoms but the last is longer
+    than the word, and none under all atoms is longer than twice the word.
+    """
+    img = list(map(chr, range(k)))
+    for (a, n), front in zip(runs, prepend):
         head = img[a] * n
-        img = [w if c == a else head + w for c, w in enumerate(img)]
-    return img[last], img[terminal]
+        img = [w if c == a else head + w if front else w + head for c, w in enumerate(img)]
+    return img[letter]
 
 
 def _split_counts(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> list[OccurrenceTuple]:
@@ -187,10 +205,9 @@ def _split_counts(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> lis
     letter c != a to a^n c, so it adds n times the count of the other letters
     to a's count.
     """
-    *outer, (last, q) = runs
-    atoms = (*outer, (last, q - 1))[::-1]
+    atoms = _outer_atoms(runs)[::-1]
     parts = []
-    for letter in (last, terminal):
+    for letter in (runs[-1][0], terminal):
         counts = [0] * k
         counts[letter] = 1
         for a, n in atoms:
@@ -199,15 +216,28 @@ def _split_counts(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> lis
     return parts
 
 
-def construct(
-    p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
-) -> ConstructionResult:
-    """Build the word realizing an admissible tuple.
+def _lyndon_image(runs: Sequence[tuple[int, int]], letter: int, k: int) -> str:
+    """The least conjugate of the image of ``letter`` under the runs' atoms, as a code string.
 
-    One ``Psi`` atom per reduction step, keyed by the reduced index; the word,
-    the terminal letter's image, is built from the trace's runs in O(n + k*runs).
-    Its least rotation is the unique Lyndon representative of the class.
+    Psi_a (c -> ac) and Psi-bar_a (c -> ca) map every word to conjugate words,
+    so applying each run as either one gives a conjugate of the c-word. Both
+    keep the lexicographic order of infinite words: the images of letters
+    b < c, each followed by more images, first differ at two letters in the
+    order of b and c. Take the runs innermost first, with x the inner word and
+    L its least conjugate, its Lyndon word, as images of a letter are
+    primitive. The least conjugate of the image starts with its least letter m.
+    When m = a, every a starts an image under Psi_a; otherwise every m starts
+    an image under Psi-bar_a. Either way that conjugate starts at an image
+    boundary, so it is the image of the least conjugate of x: Psi_a(L) or
+    Psi-bar_a(L). The letters of the word inside run j are ``letter`` and the
+    letters of runs j and further in, so m is a suffix minimum.
     """
+    lows = list(accumulate(reversed([a for a, _ in runs]), min, initial=letter))[::-1]
+    return _image(runs, letter, k, [a == low for (a, _), low in zip(runs, lows)])
+
+
+def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[TTrace, Alphabet]:
+    """The trace of ``p`` and the alphabet to write its word in, once the word is known to exist and fit."""
     trace = admissibility(p, tie_break)
     if not trace.admissible:
         raise NotAdmissibleError(f"no epichristoffel word for {p}: {trace.rejection}")
@@ -217,16 +247,34 @@ def construct(
         raise ValueError(f"alphabet size {alphabet.size} does not match tuple length {p.k}")
     if p.total() > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {p.total()} exceeds the budget")
+    return trace, alphabet
 
+
+def construct(
+    p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
+) -> ConstructionResult:
+    """Build the word realizing an admissible tuple, and its Lyndon conjugate.
+
+    One ``Psi`` atom per reduction step, keyed by the reduced index; the word,
+    the terminal letter's image, is built from the trace's runs in O(n + k*runs).
+    The epichristoffel word, the unique Lyndon representative of the class, is
+    built from the same runs (``_lyndon_image``), and the offset of the rotation
+    that gives it is found by one substring search.
+    """
+    trace, alphabet = _admitted(p, alphabet, tie_break)
     psi = [Psi(a) for a in range(p.k)]
-    atoms = [atom for a, q in trace.runs for atom in [psi[a]] * q]
+    atoms: list[Psi] = []
+    for a, q in trace.runs:
+        atoms += [psi[a]] * q
     terminal = trace.terminal
     assert terminal is not None
-    u, v = _split_images(trace.runs, terminal, p.k) if trace.runs else ((), (terminal,))
-    c_word = Word._trusted(u + v, alphabet)
-    assert parikh(c_word) == p, f"construction lost counts for {p}"
-    epi_word, offset = least_rotation(c_word)
-    return ConstructionResult(c_word, MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
+    c = _image(trace.runs, terminal, p.k, repeat(True))
+    assert _code_counts(c, p.k) == p, f"construction lost counts for {p}"
+    epi = _lyndon_image(trace.runs, terminal, p.k)
+    offset = (c + c).find(epi)
+    assert offset >= 0, f"the Lyndon image of {p} is not a rotation of its word"
+    epi_word = _word(epi, alphabet)
+    return ConstructionResult(_word(c, alphabet), MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
 
 
 def canonical_split(
@@ -242,13 +290,27 @@ def canonical_split(
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
     """The canonical split of a built construction, its letter images before the last atom: u*v cut after |u|."""
-    runs = result.trace.runs
-    if not runs:
-        raise TrivialTupleError("unit tuples have no two-factor split")
     c_word = result.c_word
-    u_tuple, v_tuple = _split_counts(runs, result.terminal_letter, c_word.alphabet.size)
+    u_tuple, v_tuple = _split_counts(result.trace.runs, result.terminal_letter, c_word.alphabet.size)
     cut = u_tuple.total()
     return CanonicalSplit(c_word[:cut], c_word[cut:], u_tuple, v_tuple)
+
+
+def _epichristoffel_code(w: Word) -> tuple[str, str | None]:
+    """The code of ``w`` and of the epichristoffel word with its letter counts, None when there is none."""
+    if len(w) == 0:
+        raise EmptyWordError("epichristoffel test is defined for nonempty words")
+    s = _code(w)
+    if len(w) == 1:
+        return s, s
+    if w.alphabet.size < 2:
+        return s, None
+    try:
+        trace, _ = _admitted(_code_counts(s, w.alphabet.size), w.alphabet, "recent")
+    except NotAdmissibleError:
+        return s, None
+    assert trace.terminal is not None
+    return s, _lyndon_image(trace.runs, trace.terminal, w.alphabet.size)
 
 
 def is_epichristoffel_word(w: Word) -> bool:
@@ -256,23 +318,15 @@ def is_epichristoffel_word(w: Word) -> bool:
 
     Single letters qualify as images under the identity morphism.
     """
-    if len(w) == 0:
-        raise EmptyWordError("epichristoffel test is defined for nonempty words")
-    if len(w) == 1:
-        return True
-    if w.alphabet.size < 2:
-        return False
-    try:
-        return construct(parikh(w), w.alphabet).epi_word == w
-    except NotAdmissibleError:
-        return False
+    s, epi = _epichristoffel_code(w)
+    return s == epi
 
 
 def is_c_epichristoffel(w: Word) -> bool:
     """True when some rotation of ``w`` is an epichristoffel word."""
-    if len(w) == 0:
-        raise EmptyWordError("epichristoffel test is defined for nonempty words")
-    return is_epichristoffel_word(least_rotation(w)[0])
+    s, epi = _epichristoffel_code(w)
+    # Equal letter counts, so equal lengths: s is a rotation of epi when it occurs in epi*epi.
+    return epi is not None and s in epi + epi
 
 
 def epi_factorizations(w: Word) -> list[tuple[Word, Word]]:

@@ -17,14 +17,21 @@ from operator import add, attrgetter
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .christoffel import _tree_walk
-from .epichristoffel import TieBreak, construct, epi_factorizations, is_epichristoffel_word, split_construction
+from .epichristoffel import (
+    TieBreak,
+    _lyndon_image,
+    _outer_atoms,
+    construct,
+    epi_factorizations,
+    is_epichristoffel_word,
+)
 from .errors import (
     DimensionMismatchError,
     NotInTreeError,
     RootSelectionError,
     WordLengthOverflow,
 )
-from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, least_rotation, parikh
+from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code, parikh
 
 Side = Literal["L", "R"]
 
@@ -184,13 +191,14 @@ def epichristoffel_tree(
     prefix equals the epichristoffel word of that part's tuple; exactly one does.
     """
     built = construct(p, alphabet, tie_break)
-    split = split_construction(built)
+    runs, k = built.trace.runs, p.k
+    outer = _outer_atoms(runs)
     w = built.epi_word
     # A part is a letter image, so it lies in the epichristoffel class of its
-    # own tuple (Paquin 2010), whose least rotation is that tuple's word.
-    matching_cuts = {
-        len(part) for part in (split.u, split.v) if w[: len(part)] == least_rotation(part)[0]
-    }
+    # own tuple (Paquin 2010), whose Lyndon word is the part's Lyndon image.
+    code = _code(w)
+    parts = (_lyndon_image(outer, letter, k) for letter in (runs[-1][0], built.terminal_letter))
+    matching_cuts = {len(part) for part in parts if code.startswith(part)}
     if len(matching_cuts) != 1:
         raise RootSelectionError(
             f"expected exactly one matching prefix for {p}, got cuts {sorted(matching_cuts)}"

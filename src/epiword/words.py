@@ -183,10 +183,12 @@ class OccurrenceTuple:
 
 def parikh(w: Word) -> OccurrenceTuple:
     """Occurrence counts of each letter of ``w``, in alphabet order."""
-    counts = [0] * w.alphabet.size
-    for c in w.letters:
-        counts[c] += 1
-    return OccurrenceTuple(tuple(counts))
+    return _code_counts(_code(w), w.alphabet.size)
+
+
+def _code_counts(s: str, k: int) -> OccurrenceTuple:
+    """Letter counts of a code string over k letters, one C-level ``str.count`` pass per letter."""
+    return OccurrenceTuple(tuple(map(s.count, map(chr, range(k)))))
 
 
 def rotate(w: Word, i: int) -> Word:
@@ -202,16 +204,21 @@ def _code(w: Word) -> str:
     return bytes(w.letters).decode("latin-1") if w.alphabet.size <= 256 else "".join(map(chr, w.letters))
 
 
-def _least_conjugate(s: str) -> str:
-    """The least rotation of ``s``, by block renaming: it starts where a run of the least letter a starts.
+def _word(s: str, alphabet: Alphabet) -> Word:
+    """The word whose ``_code`` is ``s``, its letters known to lie in the alphabet."""
+    return Word._trusted(tuple(s.encode("latin-1")) if alphabet.size <= 256 else tuple(map(ord, s)), alphabet)
+
+
+def _least_conjugate(s: str, a: str) -> str:
+    """The least rotation of ``s``, by block renaming: it starts where a run of its least letter a starts.
 
     Cut the rotation at one such run into blocks a^r (non-a)^+, named by rank in
     sorted order. A block that is a proper prefix of another ranks lower and is
     followed by a where the other has a greater letter, so rotations at block
     boundaries compare as the rotations of the names. Blocks have two letters or
     more, so the depth is at most log2 n, and ranks stay below n/2 < 0x110000.
+    Every name occurs, so the least letter one level down is chr(0).
     """
-    a = min(s)
     run_end = len(s) - len(s.lstrip(a))
     if run_end == len(s):
         return s
@@ -221,7 +228,7 @@ def _least_conjugate(s: str) -> str:
     blocks = re.findall(f"\\U{ord(a):08x}+[^\\U{ord(a):08x}]+", t)
     order = sorted(set(blocks))
     name = dict(zip(order, map(chr, range(len(order)))))
-    least = _least_conjugate("".join(map(name.__getitem__, blocks)))
+    least = _least_conjugate("".join(map(name.__getitem__, blocks)), chr(0))
     return "".join(map(order.__getitem__, map(ord, least)))
 
 
@@ -233,7 +240,8 @@ def least_rotation(w: Word) -> tuple[Word, int]:
     if len(w) == 0:
         raise EmptyWordError("the empty word has no least rotation")
     s = _code(w)
-    k = (s + s).find(_least_conjugate(s))
+    least = next(a for a in map(chr, range(w.alphabet.size)) if a in s)
+    k = (s + s).find(_least_conjugate(s, least))
     return rotate(w, k), k
 
 

@@ -7,7 +7,8 @@ lattice paths and filtering with the geometric definition or by one floor
 per letter, admissibility by one subtraction
 per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
-roots by building each part's word anew, tree paths by one subtraction
+roots by building each part's word anew, the epichristoffel test by the
+least rotation of the word built for the letter counts, tree paths by one subtraction
 and one node per step, admissible tuples by reducing every composition,
 mediant rows by one ``mediant`` call per neighbouring pair, Stern-Brocot
 diagonals by reading each level of those rows in turn, and the JSON form of
@@ -40,7 +41,7 @@ from epiword import (
     path_labels,
 )
 from epiword.epichristoffel import split_construction
-from epiword.errors import AllZeroError, NotInTreeError, RootSelectionError
+from epiword.errors import AllZeroError, EmptyWordError, NotInTreeError, RootSelectionError
 from epiword.morphisms import apply
 from epiword.trees import _solve_seed_combination
 
@@ -243,14 +244,18 @@ def naive_standard_factorization(slope: Slope, alphabet=BINARY) -> tuple[Word, W
 
 
 def naive_epichristoffel_tree(p: OccurrenceTuple, alphabet=None, tie_break: str = "recent") -> TreeNode:
-    """Tree root whose prefix test constructs each split part's tuple anew."""
+    """Tree root whose prefix test constructs each split part's tuple anew.
+
+    Each epichristoffel word is the least rotation of a constructed word, not
+    the ``epi_word`` the construction reports.
+    """
     built = construct(p, alphabet, tie_break)
     split = split_construction(built)
-    w = built.epi_word
+    w = least_rotation(built.c_word)[0]
     matching_cuts = set()
     for part in (split.u, split.v):
         cut = len(part)
-        part_word = construct(parikh(part), w.alphabet, tie_break).epi_word
+        part_word = least_rotation(construct(parikh(part), w.alphabet, tie_break).c_word)[0]
         if w[:cut] == part_word:
             matching_cuts.add(cut)
     if len(matching_cuts) != 1:
@@ -259,6 +264,23 @@ def naive_epichristoffel_tree(p: OccurrenceTuple, alphabet=None, tie_break: str 
         )
     cut = matching_cuts.pop()
     return TreeNode(w[:cut], w[cut:])
+
+
+def naive_is_epichristoffel_word(w: Word, tie_break: str = "recent") -> bool:
+    """Whether ``w`` is the least rotation of the word built for its letter counts, counted one letter at a time."""
+    if len(w) == 0:
+        raise EmptyWordError("epichristoffel test is defined for nonempty words")
+    if len(w) == 1:
+        return True
+    if w.alphabet.size < 2:
+        return False
+    counts = [0] * w.alphabet.size
+    for c in w.letters:
+        counts[c] += 1
+    p = OccurrenceTuple(tuple(counts))
+    if not admissibility(p, tie_break).admissible:
+        return False
+    return least_rotation(construct(p, w.alphabet, tie_break).c_word)[0] == w
 
 
 def naive_walk_to_tuple(root_tuple: OccurrenceTuple, target: OccurrenceTuple, alphabet=None):

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the test modules."""
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from epiword import OccurrenceTuple
@@ -24,4 +25,14 @@ def grown_tuples(draw, max_total=2000):
             if rest == 0 or sum(counts) + rest > max_total:
                 break
             counts[a] += rest
+    return OccurrenceTuple(tuple(counts))
+
+
+@st.composite
+def near_misses(draw, max_total=10_000):
+    """A grown tuple with one entry moved by one, kept non-negative and nonzero."""
+    counts = list(draw(grown_tuples(max_total)).counts)
+    i = draw(st.integers(0, len(counts) - 1))
+    counts[i] = max(0, counts[i] + draw(st.sampled_from((-1, 1))))
+    assume(any(counts))
     return OccurrenceTuple(tuple(counts))

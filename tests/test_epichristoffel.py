@@ -36,10 +36,11 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
-from epiword.epichristoffel import split_construction
+from epiword.epichristoffel import _lyndon_image, _outer_atoms, split_construction
 from epiword.morphisms import apply
-from oracles import naive_admissibility, naive_construct, naive_tuples_of_length
-from strategies import grown_tuples
+from epiword.words import _code
+from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
+from strategies import grown_tuples, near_misses
 
 T = OccurrenceTuple
 TIE_BREAKS = ("recent", "smallest", "largest")
@@ -182,16 +183,6 @@ def test_split_tuples_from_the_runs_count_each_part(p):
 
 
 @st.composite
-def near_misses(draw, max_total=10_000):
-    """A grown tuple with one entry moved by one, kept non-negative and nonzero."""
-    counts = list(draw(grown_tuples(max_total)).counts)
-    i = draw(st.integers(0, len(counts) - 1))
-    counts[i] = max(0, counts[i] + draw(st.sampled_from((-1, 1))))
-    assume(any(counts))
-    return T(tuple(counts))
-
-
-@st.composite
 def tied_tuples(draw):
     """Small random tuples with zeros, some with one entry copied onto another to force a tie."""
     k = draw(st.integers(2, 5))
@@ -270,12 +261,13 @@ def test_construction_never_rewrites_per_atom(monkeypatch):
 
 
 def test_letter_images_never_outgrow_the_word():
-    # construct holds every letter's image under all atoms but the last, so
-    # this keeps them within the length budget checked on the tuple total.
-    # With w those atoms' letters, Justin's formula Pal(wc) = Psi_w(c) Pal(w)
-    # gives |Psi_w(c)| <= |Pal(w)| + 1 for every c, and induction on the last
-    # occurrences in w of the last atom's letter and of the terminal letter
-    # gives |u| + |v| >= |Pal(w)| + 1.
+    # construct and the tree roots hold every letter's image under all atoms,
+    # or all but the last, so this keeps them within twice the length budget
+    # checked on the tuple total. With w the letters of all atoms but the last,
+    # Justin's formula Pal(wc) = Psi_w(c) Pal(w) gives |Psi_w(c)| <= |Pal(w)| + 1
+    # for every c, and induction on the last occurrences in w of the last
+    # atom's letter and of the terminal letter gives |u| + |v| >= |Pal(w)| + 1.
+    # One more atom a gives |Psi_wa(c)| <= |Pal(wa)| + 1 <= 2 |Pal(w)| + 2.
     for k, max_total in ((3, 20), (4, 11)):
         alphabet = default_alphabet(k)
         for p in all_tuples(k, max_total):
@@ -283,9 +275,11 @@ def test_letter_images_never_outgrow_the_word():
                 trace = admissibility(p, rule)
                 if not trace.admissible or not trace.steps:
                     continue
-                prefix = [Psi(step.index) for step in trace.steps[:-1]]
-                longest = max(len(apply(prefix, Word((c,), alphabet))) for c in range(k))
+                atoms = [Psi(step.index) for step in trace.steps]
+                longest = max(len(apply(atoms[:-1], Word((c,), alphabet))) for c in range(k))
                 assert longest <= p.total()
+                longest = max(len(apply(atoms, Word((c,), alphabet))) for c in range(k))
+                assert longest <= 2 * p.total()
 
 
 def test_construct_on_unit_tuple_gives_the_letter():
@@ -348,6 +342,69 @@ def test_is_c_epichristoffel_examples():
     assert is_c_epichristoffel(TERNARY.word("zyzzyzx"))
     assert is_c_epichristoffel(TERNARY.word("yzyyzyx"))
     assert not is_c_epichristoffel(BINARY.word("xxyy"))
+
+
+def check_lyndon_words(p, rule):
+    """The word's Lyndon conjugate and offset, and both split parts' Lyndon images, against the rotation search."""
+    r = construct(p, tie_break=rule)
+    assert (r.epi_word, r.rotation_offset) == least_rotation(r.c_word), (p, rule)
+    if r.trace.runs:  # the tree roots' prefix test reads the parts' images
+        s = split_construction(r)
+        outer, last = _outer_atoms(r.trace.runs), r.trace.runs[-1][0]
+        for letter, part in ((last, s.u), (r.terminal_letter, s.v)):
+            assert _lyndon_image(outer, letter, p.k) == _code(least_rotation(part)[0]), (p, rule)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grown_tuples(max_total=10**4))
+def test_lyndon_words_match_the_rotation_search(p):
+    for rule in TIE_BREAKS:
+        check_lyndon_words(p, rule)
+
+
+def test_lyndon_words_match_the_rotation_search_for_every_ternary_tuple_to_60():
+    for n in range(1, 61):
+        for p in tuples_of_length(n, 3):
+            for rule in TIE_BREAKS:
+                check_lyndon_words(p, rule)
+
+
+@st.composite
+def words_around_a_class(draw):
+    """The epichristoffel word of a grown tuple, by the rotation search, or one
+    of its rotations, or it with two neighbouring letters swapped, or with one
+    letter changed, which moves its tuple by one as in ``near_misses``."""
+    p = draw(grown_tuples(10**4))
+    w = least_rotation(construct(p).c_word)[0]
+    letters, n = list(w.letters), len(w)
+    kind = draw(st.sampled_from(("word", "rotation", "swap", "change")))
+    if kind == "rotation":
+        i = draw(st.integers(0, n - 1))
+        letters = letters[i:] + letters[:i]
+    elif kind == "swap" and n > 1:
+        i = draw(st.integers(0, n - 2))
+        letters[i], letters[i + 1] = letters[i + 1], letters[i]
+    elif kind == "change":
+        letters[draw(st.integers(0, n - 1))] = draw(st.integers(0, p.k - 1))
+    return Word(tuple(letters), w.alphabet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_around_a_class())
+def test_word_tests_match_the_rotation_oracle(w):
+    least = least_rotation(w)[0]
+    for rule in TIE_BREAKS:
+        assert is_epichristoffel_word(w) == naive_is_epichristoffel_word(w, rule)
+        assert is_c_epichristoffel(w) == naive_is_epichristoffel_word(least, rule)
+
+
+def test_word_tests_match_the_rotation_oracle_on_every_short_word():
+    for alphabet, longest in ((BINARY, 11), (TERNARY, 7)):
+        for n in range(1, longest + 1):
+            for letters in product(range(alphabet.size), repeat=n):
+                w = Word(letters, alphabet)
+                assert is_epichristoffel_word(w) == naive_is_epichristoffel_word(w), w
+                assert is_c_epichristoffel(w) == naive_is_epichristoffel_word(least_rotation(w)[0]), w
 
 
 def test_binary_epichristoffel_words_are_christoffel():

@@ -38,7 +38,7 @@ from epiword import (
 )
 from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
 from oracles import naive_epichristoffel_tree, naive_insert_mediants, naive_sb_diagonal, naive_walk_to_tuple
-from strategies import grown_tuples
+from strategies import grown_tuples, near_misses
 from timing import best_of
 
 T = OccurrenceTuple
@@ -399,7 +399,7 @@ def outcome(f, *args, **kwargs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grown_tuples())
+@given(grown_tuples(10**4) | near_misses())
 def test_roots_match_the_oracle_that_constructs_each_part(p):
     for rule in TIE_BREAKS:
         assert outcome(epichristoffel_tree, p, tie_break=rule) == outcome(

@@ -190,12 +190,12 @@ def test_least_rotation_recursion_depth_is_logarithmic(monkeypatch):
     depth, deepest = 0, 0
     original = words._least_conjugate
 
-    def tracking(t):
+    def tracking(t, a):
         nonlocal depth, deepest
         depth += 1
         deepest = max(deepest, depth)
         try:
-            return original(t)
+            return original(t, a)
         finally:
             depth -= 1
 
