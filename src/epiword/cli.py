@@ -41,6 +41,7 @@ from .morphisms import parse_morphisms
 from .trees import (
     CLASSICAL_SEED,
     TreeNode,
+    _preorder,
     _walk_to_tuple,
     christoffel_tree,
     diagonal,
@@ -96,30 +97,13 @@ def _check_word_tree(node: TreeNode, depth: int) -> None:
         raise WordLengthOverflow("child word would exceed the length budget")
 
 
-def _walk(root: TreeNode, depth: int) -> Iterator[tuple[bool, str, str, str]]:
-    """Preorder events to ``depth``: (True, u, v, path) on entering a node, (False, u, v, path) on leaving it.
-
-    u, v and the children (u, uv), (uv, v) come rendered, as each letter renders to one symbol.
-    ``path`` is "n", then one L or R per step; the stack holds it and the right siblings to come.
-    """
-    stack = [(True, str(root.u), str(root.v), "n")]
-    while stack:
-        entering, u, v, path = event = stack.pop()
-        yield event
-        if entering:
-            stack.append((False, u, v, path))
-            if len(path) <= depth:
-                uv = u + v
-                stack += [(True, uv, v, path + "R"), (True, u, uv, path + "L")]
-
-
 def _word_tree_pieces(root: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> Iterator[str]:
     """A word tree as text, dot, or json as ``json.dumps`` writes {alphabet, root: {u, v, tuple, children}}."""
     head = f'{{"alphabet": {json.dumps(alphabet.symbols)}, "root": '
     yield {"text": "", "dot": "digraph tree {\n", "json": head}[fmt]
-    for entering, u, v, path in _walk(root, depth):
+    for entering, u, v, path in _preorder(str(root.u), str(root.v), depth):
         if fmt == "json" and entering:
-            counts = ", ".join(str(u.count(s) + v.count(s)) for s in alphabet.symbols)
+            counts = ", ".join([str(u.count(s) + v.count(s)) for s in alphabet.symbols])
             sep = ", " if path[-1] == "R" else ""
             yield f'{sep}{{"u": {json.dumps(u)}, "v": {json.dumps(v)}, "tuple": [{counts}], "children": ['
         elif fmt == "json":

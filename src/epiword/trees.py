@@ -5,7 +5,8 @@ are (u, uv) and (uv, v). The Christoffel tree starts from (x, y); an
 epichristoffel tree starts from the split of an admissible tuple's word;
 Stern-Brocot trees carry fractions or occurrence tuples produced by
 repeated mediant insertion. Children are computed on demand, so a node is
-also the (conceptually infinite) tree hanging below it.
+also the (conceptually infinite) tree hanging below it. One preorder walk
+serves the CLI and ``tree_levels``; siblings share the uv it builds once.
 """
 
 from __future__ import annotations
@@ -48,22 +49,41 @@ class TreeNode:
         return self.u + self.v
 
     def left(self) -> "TreeNode":
-        return TreeNode(self.u, self._concat(2 * len(self.u) + len(self.v)))
+        return TreeNode(self.u, _concat(self.u, self.v, len(self.u)))
 
     def right(self) -> "TreeNode":
-        return TreeNode(self._concat(len(self.u) + 2 * len(self.v)), self.v)
+        return TreeNode(_concat(self.u, self.v, len(self.v)), self.v)
 
     def children(self) -> tuple["TreeNode", "TreeNode"]:
-        return self.left(), self.right()
-
-    def _concat(self, child_length: int) -> Word:
-        """u*v, once the child's word of ``child_length`` letters is known to fit the budget."""
-        if child_length > MAX_WORD_LENGTH:
-            raise WordLengthOverflow("child word would exceed the length budget")
-        return self.u + self.v
+        uv = _concat(self.u, self.v, max(len(self.u), len(self.v)))
+        return TreeNode(self.u, uv), TreeNode(uv, self.v)
 
     def __str__(self) -> str:
         return f"({self.u}, {self.v})"
+
+
+def _concat(u: Word | str, v: Word | str, beside: int) -> Word | str:
+    """u*v, once a child (u, uv) or (uv, v) of uv and ``beside`` more letters is known to fit the budget."""
+    if len(u) + len(v) + beside > MAX_WORD_LENGTH:
+        raise WordLengthOverflow("child word would exceed the length budget")
+    return u + v
+
+
+def _preorder(u: Word | str, v: Word | str, depth: int) -> Iterator[tuple[bool, Word | str, Word | str, str]]:
+    """Preorder events to ``depth``: (True, u, v, path) on entering a node, (False, u, v, path) on leaving it.
+
+    Words are ``Word``s or rendered strings, one symbol a letter; an expanded node builds uv once for both children.
+    ``path`` is "n", then one L or R per step; the stack holds it and the right siblings to come.
+    """
+    stack = [(True, u, v, "n")]
+    while stack:
+        entering, u, v, path = event = stack.pop()
+        yield event
+        if entering:
+            stack.append((False, u, v, path))
+            if len(path) <= depth:
+                uv = _concat(u, v, len(u) if len(u) > len(v) else len(v))  # cheaper than max() per node
+                stack += [(True, uv, v, path + "R"), (True, u, uv, path + "L")]
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,12 +228,15 @@ def epichristoffel_tree(
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
-    """Materialize levels 0..depth, left to right."""
+    """Materialize levels 0..depth, left to right: the preorder walk meets each depth first on the left spine."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    levels = [[root]]
-    for _ in range(depth):
-        levels.append([child for node in levels[-1] for child in node.children()])
+    levels: list[list[TreeNode]] = []
+    for entering, u, v, path in _preorder(root.u, root.v, depth):
+        if entering:
+            if len(path) > len(levels):
+                levels.append([])
+            levels[len(path) - 1].append(TreeNode(u, v))
     return levels
 
 
@@ -474,25 +497,18 @@ def classify_factorizability(
 ) -> FactorizabilityReport:
     """Classify every node to ``depth`` and probe the rightmost spine."""
     root = epichristoffel_tree(root_tuple, alphabet)
-    entries = []
-    for level in tree_levels(root, depth):
-        for node in level:
-            entries.append(
-                NodeClassification(
-                    node,
-                    is_epichristoffel_word(node.u),
-                    is_epichristoffel_word(node.v),
-                )
-            )
-    spine = [root]
-    for _ in range(depth):
-        spine.append(spine[-1].right())
-    spine_words = tuple(node.word for node in spine)
+    levels = tree_levels(root, depth)
+    entries = tuple(
+        NodeClassification(node, is_epichristoffel_word(node.u), is_epichristoffel_word(node.v))
+        for level in levels
+        for node in level
+    )
+    spine_words = tuple(level[-1].word for level in levels)
     if entries[0].v_epichristoffel:
         spine_free = None
     else:
         spine_free = all(epi_factorizations(word) == [] for word in spine_words)
-    return FactorizabilityReport(root, tuple(entries), spine_words, spine_free)
+    return FactorizabilityReport(root, entries, spine_words, spine_free)
 
 
 __all__ = [

@@ -9,7 +9,8 @@ per reduction step, epichristoffel words by rewriting the whole word once
 per ``Psi`` atom, Christoffel splits by scanning every path label, tree
 roots by building each part's word anew, the epichristoffel test by the
 least rotation of the word built for the letter counts, tree paths by one subtraction
-and one node per step, admissible tuples by reducing every composition,
+and one node per step, word-tree levels breadth first by ``left`` and
+``right`` on each node, admissible tuples by reducing every composition,
 mediant rows by one ``mediant`` call per neighbouring pair, Stern-Brocot
 diagonals by reading each level of those rows in turn, and the JSON form of
 a word tree by building it whole as nested dicts.
@@ -303,6 +304,16 @@ def naive_walk_to_tuple(root_tuple: OccurrenceTuple, target: OccurrenceTuple, al
         node = node.left() if step == "L" else node.right()
     assert parikh(node.word) == target
     return path, node
+
+
+def naive_tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
+    """Levels 0..depth, breadth first: each node of a level gives its ``left()`` and ``right()``."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    levels = [[root]]
+    for _ in range(depth):
+        levels.append([child for node in levels[-1] for child in (node.left(), node.right())])
+    return levels
 
 
 def _compositions(total: int, parts: int, minimum: int):

@@ -2,7 +2,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiword import (
@@ -16,6 +16,7 @@ from epiword import (
     OccurrenceTuple,
     Slope,
     TrivialTupleError,
+    Word,
     WordLengthOverflow,
     christoffel_tree,
     classify_factorizability,
@@ -37,7 +38,13 @@ from epiword import (
     tree_levels,
 )
 from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
-from oracles import naive_epichristoffel_tree, naive_insert_mediants, naive_sb_diagonal, naive_walk_to_tuple
+from oracles import (
+    naive_epichristoffel_tree,
+    naive_insert_mediants,
+    naive_sb_diagonal,
+    naive_tree_levels,
+    naive_walk_to_tuple,
+)
 from strategies import grown_tuples, near_misses
 from timing import best_of
 
@@ -520,6 +527,56 @@ def test_each_tree_child_is_checked_on_its_own_length(monkeypatch):
     assert TreeNode(long, short).right() == TreeNode(BINARY.word("yyyyyx"), short)
     with pytest.raises(WordLengthOverflow, match="^child word would exceed the length budget$"):
         TreeNode(long, short).left()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.none() | grown_tuples() | near_misses(), st.integers(0, 5), st.none() | st.integers(-3, 1))
+def test_tree_levels_match_the_breadth_first_oracle(p, depth, slack):
+    # None stands for the Christoffel tree; a tuple without a tree is not a root.
+    root = christoffel_tree() if p is None else outcome(epichristoffel_tree, p)
+    assume(isinstance(root, TreeNode))
+    levels = naive_tree_levels(root, depth)
+    assert tree_levels(root, depth) == levels
+    if slack is not None:
+        # A budget around the longest node word: at or over it both walks give the levels, under it the same error.
+        longest = max(len(node.word) for level in levels for node in level)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("epiword.trees.MAX_WORD_LENGTH", longest + slack)
+            assert outcome(tree_levels, root, depth) == outcome(naive_tree_levels, root, depth)
+
+
+def counting_concatenations(monkeypatch) -> list:
+    calls = []
+    concat = Word.__add__
+
+    def counting(self, other):
+        calls.append(other)
+        return concat(self, other)
+
+    monkeypatch.setattr(Word, "__add__", counting)
+    return calls
+
+
+def test_tree_levels_concatenate_once_per_expanded_node(monkeypatch):
+    calls = counting_concatenations(monkeypatch)
+    levels = tree_levels(christoffel_tree(), 12)
+    assert sum(map(len, levels)) == 2**13 - 1
+    assert len(calls) == 2**12 - 1  # one per node above the last level; breadth first by children() made 8,190
+
+
+def test_factorizability_spine_comes_from_the_levels(monkeypatch):
+    calls = counting_concatenations(monkeypatch)
+    report = classify_factorizability(T((3, 2, 1)), 6)
+    assert len(report.nodes) == 2**7 - 1
+    assert len(calls) == 2**6 - 1 + 7  # one per expanded node and one per spine word; a right() walk made 139
+
+
+def test_children_share_the_word_they_concatenate(monkeypatch):
+    calls = counting_concatenations(monkeypatch)
+    left, right = epichristoffel_tree(T((1, 2, 4))).children()
+    assert len(calls) == 1
+    assert left.v is right.u
+    assert (str(left), str(right)) == ("(xzyz, xzyzzyz)", "(xzyzzyz, zyz)")
 
 
 def test_tree_levels_validation():
