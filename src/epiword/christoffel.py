@@ -68,15 +68,13 @@ def christoffel_word(slope: Slope, alphabet: Alphabet = BINARY) -> Word:
     if a + b > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {a + b} exceeds the budget")
     if a == 0 or b == 0:
-        return Word._trusted((0,) if a == 0 else (1,), alphabet)
-    _, u, v = _tree_walk((0,), (1,), b, a)
+        return Word._trusted("\x00" if a == 0 else "\x01", alphabet)
+    _, u, v = _tree_walk("\x00", "\x01", b, a)
     return Word._trusted(u + v, alphabet)
 
 
-def _tree_walk(
-    u: tuple[int, ...], v: tuple[int, ...], alpha: int, beta: int
-) -> tuple[list[tuple[str, int]], tuple[int, ...], tuple[int, ...]]:
-    """The runs from node (u, v) of a word tree to its descendant alpha*|u| + beta*|v|, and that node.
+def _tree_walk(u: str, v: str, alpha: int, beta: int) -> tuple[list[tuple[str, int]], str, str]:
+    """The runs from node (u, v) of a word tree to its descendant alpha*|u| + beta*|v|, and that node's code strings.
 
     The children of (u, v) are (u, uv) and (uv, v). For coprime alpha, beta >= 1
     the walk follows the continued fraction of alpha/beta: while alpha > beta,

@@ -69,6 +69,8 @@ def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
 def _seed(root_counts: str | None, symbols: str | None) -> tuple:
     """The classical fraction seed, or the split tuples of the epi tree rooted at ROOT_COUNTS."""
     if root_counts is None:
+        if symbols is not None:
+            raise ValueError("--alphabet needs --root")
         return CLASSICAL_SEED
     p = OccurrenceTuple.parse(root_counts)
     root = epichristoffel_tree(p, _alphabet_for(p.k, symbols))
@@ -252,6 +254,8 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
         _write(_sb_pieces(islice(sb_level_stream(_seed(root_counts, symbols)), depth), fmt))
         return
     if kind == "christoffel":
+        if root_counts is not None:
+            raise ValueError("christoffel trees take no --root")
         alphabet = _alphabet_for(2, symbols)
         root = christoffel_tree(alphabet)
     elif root_counts is None:

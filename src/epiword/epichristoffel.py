@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
 from .errors import TrivialTupleError, WordLengthOverflow
 from .morphisms import MorphismSeq, Psi
-from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code, _code_counts, _word, default_alphabet
+from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code_counts, default_alphabet
 
 TieBreak = Literal["recent", "smallest", "largest"]
 
@@ -273,8 +273,8 @@ def construct(
     epi = _lyndon_image(trace.runs, terminal, p.k)
     offset = (c + c).find(epi)
     assert offset >= 0, f"the Lyndon image of {p} is not a rotation of its word"
-    epi_word = _word(epi, alphabet)
-    return ConstructionResult(_word(c, alphabet), MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
+    epi_word = Word._trusted(epi, alphabet)
+    return ConstructionResult(Word._trusted(c, alphabet), MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
 
 
 def canonical_split(
@@ -300,7 +300,7 @@ def _epichristoffel_code(w: Word) -> tuple[str, str | None]:
     """The code of ``w`` and of the epichristoffel word with its letter counts, None when there is none."""
     if len(w) == 0:
         raise EmptyWordError("epichristoffel test is defined for nonempty words")
-    s = _code(w)
+    s = w._code
     if len(w) == 1:
         return s, s
     if w.alphabet.size < 2:

@@ -61,34 +61,24 @@ def _check_letter(letter: int, alphabet: Alphabet) -> None:
 
 
 def apply_atom(atom: MorphismAtom, w: Word) -> Word:
-    """Image of ``w`` under a single atom."""
+    """Image of ``w`` under a single atom: one ``str.translate`` of its code string by a table over every letter."""
     alphabet = w.alphabet
-    out: list[int] = []
+    codes = list(map(chr, range(alphabet.size)))
     match atom:
         case Psi(letter=a):
             _check_letter(a, alphabet)
-            for c in w.letters:
-                if c == a:
-                    out.append(a)
-                else:
-                    out.append(a)
-                    out.append(c)
+            table = [c if c == codes[a] else codes[a] + c for c in codes]
         case PsiBar(letter=a):
             _check_letter(a, alphabet)
-            for c in w.letters:
-                if c == a:
-                    out.append(a)
-                else:
-                    out.append(c)
-                    out.append(a)
+            table = [c if c == codes[a] else c + codes[a] for c in codes]
         case Theta(first=a, second=b):
             _check_letter(a, alphabet)
             _check_letter(b, alphabet)
-            swap = {a: b, b: a}
-            out = [swap.get(c, c) for c in w.letters]
+            table = codes
+            table[a], table[b] = table[b], table[a]
         case _:
             raise TypeError(f"not a morphism atom: {atom!r}")
-    return Word._trusted(tuple(out), alphabet)
+    return Word._trusted(w._code.translate(table), alphabet)
 
 
 def apply(seq: MorphismSeq | Iterable[MorphismAtom], w: Word) -> Word:

@@ -32,7 +32,7 @@ from .errors import (
     RootSelectionError,
     WordLengthOverflow,
 )
-from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code, parikh
+from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, parikh
 
 Side = Literal["L", "R"]
 
@@ -216,9 +216,8 @@ def epichristoffel_tree(
     w = built.epi_word
     # A part is a letter image, so it lies in the epichristoffel class of its
     # own tuple (Paquin 2010), whose Lyndon word is the part's Lyndon image.
-    code = _code(w)
     parts = (_lyndon_image(outer, letter, k) for letter in (runs[-1][0], built.terminal_letter))
-    matching_cuts = {len(part) for part in parts if code.startswith(part)}
+    matching_cuts = {len(part) for part in parts if w._code.startswith(part)}
     if len(matching_cuts) != 1:
         raise RootSelectionError(
             f"expected exactly one matching prefix for {p}, got cuts {sorted(matching_cuts)}"
@@ -434,7 +433,7 @@ def _walk_to_tuple(
         raise NotInTreeError(f"{target} needs coprime positive coefficients, got ({alpha}, {beta})")
     if target.total() > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {target.total()} exceeds the budget")
-    runs, u, v = _tree_walk(root.u.letters, root.v.letters, alpha, beta)
+    runs, u, v = _tree_walk(root.u._code, root.v._code, alpha, beta)
     path: list[Side] = list("".join(side * q for side, q in runs))
     node = TreeNode(Word._trusted(u, root.u.alphabet), Word._trusted(v, root.v.alphabet))
     assert parikh(node.word) == target

@@ -1,10 +1,12 @@
 """Core word values: ordered alphabets, finite words, occurrence tuples.
 
-Letters are stored as integer indices into an alphabet, so lexicographic
-comparison and morphism application never touch display symbols; symbols
-appear only when parsing or rendering. Letters are checked where they enter:
-a public ``Word(...)``, ``Alphabet.word`` or parsing. Operations on words
-already checked build their results with ``Word._trusted``. Every value is
+A word stores its letters as one string of code points, code point i for
+letter i of its alphabet, so comparison, search, slicing, concatenation and
+morphism images run in C and never touch display symbols; symbols appear
+only when parsing or rendering, and ``Word.letters`` gives the integer
+indices. Letters are checked where they enter: a public ``Word(...)``,
+``Alphabet.word`` or parsing. Operations on words already checked build
+their results from code strings with ``Word._trusted``. Every value is
 immutable and every operation is pure.
 """
 
@@ -76,54 +78,59 @@ def default_alphabet(k: int) -> Alphabet:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """A finite word: a sequence of letter indices over an alphabet.
+    """A finite word: a sequence of letter indices over an alphabet, held as a code string.
 
     The empty word is a valid value; predicates that need a nonempty word
     raise :class:`EmptyWordError`. Comparison is lexicographic in alphabet
     order, with a proper prefix ordered before its extensions.
     """
 
-    letters: tuple[int, ...]
+    _code: str
     alphabet: Alphabet
 
-    def __post_init__(self) -> None:
-        if self.letters and not (0 <= min(self.letters) and max(self.letters) < self.alphabet.size):
+    def __init__(self, letters: tuple[int, ...], alphabet: Alphabet) -> None:
+        if letters and not (0 <= min(letters) and max(letters) < alphabet.size):
             raise ValueError("letter index outside alphabet")
+        self.__dict__.update(_code="".join(map(chr, letters)), alphabet=alphabet)
 
     @classmethod
-    def _trusted(cls, letters: tuple[int, ...], alphabet: Alphabet) -> "Word":
-        """A word from letters known to lie in the alphabet, built without the check."""
+    def _trusted(cls, code: str, alphabet: Alphabet) -> "Word":
+        """The word whose code point i is letter i, known to lie in the alphabet, built without the check."""
         w = object.__new__(cls)
-        w.__dict__.update(letters=letters, alphabet=alphabet)
+        w.__dict__.update(_code=code, alphabet=alphabet)
         return w
 
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(map(ord, self._code))
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._code)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
+        return map(ord, self._code)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word._trusted(self.letters[item], self.alphabet)
-        return self.letters[item]
+            return Word._trusted(self._code[item], self.alphabet)
+        return ord(self._code[item])
 
     def __add__(self, other: "Word") -> "Word":
         self._require_same_alphabet(other)
-        return Word._trusted(self.letters + other.letters, self.alphabet)
+        return Word._trusted(self._code + other._code, self.alphabet)
 
     def __lt__(self, other: "Word") -> bool:
         self._require_same_alphabet(other)
-        return self.letters < other.letters
+        return self._code < other._code
 
     def _require_same_alphabet(self, other: "Word") -> None:
         if self.alphabet != other.alphabet:
             raise ValueError("words use different alphabets")
 
     def __str__(self) -> str:
-        return self.alphabet.render(self.letters)
+        return self.alphabet.render(self)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -183,7 +190,7 @@ class OccurrenceTuple:
 
 def parikh(w: Word) -> OccurrenceTuple:
     """Occurrence counts of each letter of ``w``, in alphabet order."""
-    return _code_counts(_code(w), w.alphabet.size)
+    return _code_counts(w._code, w.alphabet.size)
 
 
 def _code_counts(s: str, k: int) -> OccurrenceTuple:
@@ -196,17 +203,7 @@ def rotate(w: Word, i: int) -> Word:
     if len(w) == 0:
         return w
     i %= len(w)
-    return Word._trusted(w.letters[i:] + w.letters[:i], w.alphabet)
-
-
-def _code(w: Word) -> str:
-    """The letters as a str of code points, so comparison, search and slicing run in C."""
-    return bytes(w.letters).decode("latin-1") if w.alphabet.size <= 256 else "".join(map(chr, w.letters))
-
-
-def _word(s: str, alphabet: Alphabet) -> Word:
-    """The word whose ``_code`` is ``s``, its letters known to lie in the alphabet."""
-    return Word._trusted(tuple(s.encode("latin-1")) if alphabet.size <= 256 else tuple(map(ord, s)), alphabet)
+    return Word._trusted(w._code[i:] + w._code[:i], w.alphabet)
 
 
 def _least_conjugate(s: str, a: str) -> str:
@@ -239,7 +236,7 @@ def least_rotation(w: Word) -> tuple[Word, int]:
     """
     if len(w) == 0:
         raise EmptyWordError("the empty word has no least rotation")
-    s = _code(w)
+    s = w._code
     least = next(a for a in map(chr, range(w.alphabet.size)) if a in s)
     k = (s + s).find(_least_conjugate(s, least))
     return rotate(w, k), k
@@ -248,7 +245,7 @@ def least_rotation(w: Word) -> tuple[Word, int]:
 def are_conjugate(w1: Word, w2: Word) -> bool:
     """True when ``w2`` is a rotation of ``w1``."""
     w1._require_same_alphabet(w2)
-    s1, s2 = _code(w1), _code(w2)
+    s1, s2 = w1._code, w2._code
     return len(s1) == len(s2) and s2 in s1 + s1
 
 
@@ -256,7 +253,7 @@ def is_primitive(w: Word) -> bool:
     """True when ``w`` is not a proper power of a shorter word: it occurs in ww only at 0 and |w|."""
     if len(w) == 0:
         raise EmptyWordError("primitivity is defined for nonempty words")
-    s = _code(w)
+    s = w._code
     return (s + s).find(s, 1) == len(s)
 
 
@@ -274,9 +271,9 @@ def is_balanced(w: Word) -> bool:
     """
     if len(w) == 0:
         raise EmptyWordError("balance is defined for nonempty words")
-    for a in set(w.letters):
+    for a in set(w._code):
         # prefix[i] counts a in the first i letters; a window's count is a difference.
-        prefix = list(accumulate(map(a.__eq__, w.letters), initial=0))
+        prefix = list(accumulate(map(a.__eq__, w._code), initial=0))
         for length in range(1, len(w)):
             counts = list(map(sub, prefix[length:], prefix))
             if max(counts) - min(counts) > 1:

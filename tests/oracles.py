@@ -6,8 +6,9 @@ balance by comparing every factor pair, Christoffel words by enumerating
 lattice paths and filtering with the geometric definition or by one floor
 per letter, admissibility by one subtraction
 per reduction step, epichristoffel words by rewriting the whole word once
-per ``Psi`` atom, Christoffel splits by scanning every path label, tree
-roots by building each part's word anew, the epichristoffel test by the
+per ``Psi`` atom, atom images by one list append per letter, Christoffel
+splits by scanning every path label, tree roots by building each part's
+word anew, the epichristoffel test by the
 least rotation of the word built for the letter counts, tree paths by one subtraction
 and one node per step, word-tree levels breadth first by ``left`` and
 ``right`` on each node, admissible tuples by reducing every composition,
@@ -28,9 +29,11 @@ from epiword import (
     MorphismSeq,
     OccurrenceTuple,
     Psi,
+    PsiBar,
     Slope,
     TreeNode,
     TStep,
+    Theta,
     Word,
     admissibility,
     christoffel_word,
@@ -42,7 +45,7 @@ from epiword import (
     path_labels,
 )
 from epiword.epichristoffel import split_construction
-from epiword.errors import AllZeroError, EmptyWordError, NotInTreeError, RootSelectionError
+from epiword.errors import AllZeroError, EmptyWordError, InvalidLetterError, NotInTreeError, RootSelectionError
 from epiword.morphisms import apply
 from epiword.trees import _solve_seed_combination
 
@@ -139,6 +142,41 @@ def naive_christoffel_word(a: int, b: int, alphabet=BINARY) -> Word:
         letters.append(1 if cur > prev else 0)
         prev = cur
     return Word(tuple(letters), alphabet)
+
+
+def _check_atom_letter(letter: int, alphabet) -> None:
+    if not 0 <= letter < alphabet.size:
+        raise InvalidLetterError(f"letter index {letter} outside alphabet {alphabet.symbols!r}")
+
+
+def naive_apply_atom(atom, w: Word) -> Word:
+    """Image of ``w`` under one atom, by appending each letter's image to a list."""
+    out: list[int] = []
+    match atom:
+        case Psi(letter=a):
+            _check_atom_letter(a, w.alphabet)
+            for c in w.letters:
+                if c == a:
+                    out.append(a)
+                else:
+                    out.append(a)
+                    out.append(c)
+        case PsiBar(letter=a):
+            _check_atom_letter(a, w.alphabet)
+            for c in w.letters:
+                if c == a:
+                    out.append(a)
+                else:
+                    out.append(c)
+                    out.append(a)
+        case Theta(first=a, second=b):
+            _check_atom_letter(a, w.alphabet)
+            _check_atom_letter(b, w.alphabet)
+            swap = {a: b, b: a}
+            out = [swap.get(c, c) for c in w.letters]
+        case _:
+            raise TypeError(f"not a morphism atom: {atom!r}")
+    return Word(tuple(out), w.alphabet)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from epiword import OccurrenceTuple
+from epiword import Alphabet, OccurrenceTuple
+
+# 300 letters, so code points run past 255.
+WIDE_ALPHABET = Alphabet("".join(map(chr, range(0x100, 0x100 + 300))))
 
 
 @st.composite

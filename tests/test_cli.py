@@ -470,3 +470,18 @@ def test_trace_keeps_working_with_a_larger_alphabet():
     assert result.output == "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\n"
     result = run("tuple", "1,2,4", "--alphabet", "ab")
     assert result.exit_code == 0 and result.output == "admissible\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("tree", "christoffel", "--root", "1,2,4"), "christoffel trees take no --root"),
+        (("tree", "sb", "--alphabet", "ab"), "--alphabet needs --root"),
+        (("diagonal", "--side", "L", "--k", "2", "--alphabet", "qq"), "--alphabet needs --root"),
+    ],
+    ids=["christoffel-root", "sb-alphabet", "diagonal-alphabet"],
+)
+def test_options_the_command_would_ignore_are_refused(args, message):
+    result = run(*args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert isinstance(result.exception, SystemExit)

@@ -38,7 +38,6 @@ from epiword import (
 )
 from epiword.epichristoffel import _lyndon_image, _outer_atoms, split_construction
 from epiword.morphisms import apply
-from epiword.words import _code
 from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
 from strategies import grown_tuples, near_misses
 
@@ -352,7 +351,7 @@ def check_lyndon_words(p, rule):
         s = split_construction(r)
         outer, last = _outer_atoms(r.trace.runs), r.trace.runs[-1][0]
         for letter, part in ((last, s.u), (r.terminal_letter, s.v)):
-            assert _lyndon_image(outer, letter, p.k) == _code(least_rotation(part)[0]), (p, rule)
+            assert _lyndon_image(outer, letter, p.k) == least_rotation(part)[0]._code, (p, rule)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiword import (
@@ -14,12 +14,15 @@ from epiword import (
     WordLengthOverflow,
     apply_atom,
     are_conjugate,
+    default_alphabet,
     format_morphisms,
     is_pure_standard,
     parikh,
     parse_morphisms,
 )
 from epiword.morphisms import apply
+from oracles import naive_apply_atom
+from strategies import WIDE_ALPHABET
 
 ternary_words = st.lists(st.integers(0, 2), max_size=10).map(lambda ls: Word(tuple(ls), TERNARY))
 letters = st.integers(0, 2)
@@ -105,3 +108,27 @@ def test_apply_respects_length_budget(monkeypatch):
     monkeypatch.setattr("epiword.morphisms.MAX_WORD_LENGTH", 16)
     with pytest.raises(WordLengthOverflow):
         apply([Psi(0)] * 10, TERNARY.word("yz"))
+
+
+@st.composite
+def atoms_on_words(draw):
+    """An atom and a word over 2-5 letters or over 300; an atom letter may lie one step outside the alphabet."""
+    alphabet = draw(st.sampled_from([default_alphabet(k) for k in range(2, 6)] + [WIDE_ALPHABET]))
+    word = Word(tuple(draw(st.lists(st.integers(0, alphabet.size - 1), max_size=40))), alphabet)
+    a, b = draw(st.lists(st.integers(-1, alphabet.size), min_size=2, max_size=2, unique=True))
+    atom = draw(st.sampled_from((Psi(a), PsiBar(a), Theta(a, b))))
+    return atom, word
+
+
+@settings(max_examples=300)
+@given(atoms_on_words())
+def test_atoms_match_the_per_letter_oracle(case):
+    atom, w = case
+    try:
+        want = naive_apply_atom(atom, w)
+    except InvalidLetterError as exc:
+        with pytest.raises(InvalidLetterError) as info:
+            apply_atom(atom, w)
+        assert str(info.value) == str(exc)
+        return
+    assert apply_atom(atom, w) == want

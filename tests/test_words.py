@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -28,7 +29,7 @@ from epiword import (
 )
 from epiword import words
 from oracles import booth_least_rotation, naive_is_balanced, naive_least_rotation
-from strategies import grown_tuples
+from strategies import WIDE_ALPHABET, grown_tuples
 
 ternary_words = st.lists(st.integers(0, 2), max_size=10).map(lambda ls: Word(tuple(ls), TERNARY))
 nonempty_ternary = st.lists(st.integers(0, 2), min_size=1, max_size=10).map(
@@ -73,14 +74,33 @@ def test_word_rejects_foreign_letters():
     assert Word((2, 0, 1), TERNARY).letters == (2, 0, 1)
 
 
-def refuse_check(self):
+wide_tuples = st.lists(st.integers(0, WIDE_ALPHABET.size - 1), max_size=30).map(tuple)
+
+
+@given(wide_tuples, wide_tuples, st.integers(-35, 35), st.integers(-35, 35))
+def test_words_behave_as_their_letter_tuples(t, other, a, b):
+    w = Word(t, WIDE_ALPHABET)
+    assert w.letters == t and list(w) == list(t) and len(w) == len(t)
+    assert [w[i] for i in range(-len(t), len(t))] == [t[i] for i in range(-len(t), len(t))]
+    assert w[a:b].letters == t[a:b]
+    trusted = Word._trusted("".join(map(chr, t)), WIDE_ALPHABET)
+    assert trusted == w and hash(trusted) == hash(w)
+    assert (w < Word(other, WIDE_ALPHABET)) == (t < other)
+    assert (w + Word(other, WIDE_ALPHABET)).letters == t + other
+    with pytest.raises(FrozenInstanceError):
+        w.alphabet = TERNARY
+    with pytest.raises(FrozenInstanceError):
+        w.letters = t
+
+
+def refuse_check(self, *args):
     raise AssertionError("a word built inside the library checked its letters again")
 
 
 def test_letters_are_checked_once_at_the_boundary(monkeypatch):
     p = OccurrenceTuple((1, 2, 4))
     w = TERNARY.word("zyzzyzx")
-    monkeypatch.setattr(Word, "__post_init__", refuse_check)
+    monkeypatch.setattr(Word, "__init__", refuse_check)
     assert str(construct(p).epi_word) == "xzyzzyz"
     assert (str(canonical_split(p).u), str(canonical_split(p).v)) == ("zyz", "zyzx")
     assert str(epichristoffel_tree(p)) == "(xzyz, zyz)"
