@@ -6,16 +6,16 @@ ValueError) exits 2 with ``error: <message>`` from one handler on the group.
 ``christoffel --draw`` refuses grids of more than MAX_WORD_LENGTH cells, and
 ``tuple --trace`` traces of more than MAX_WORD_LENGTH steps. A tree's size is
 known before any work, and the tree is written as it is walked. A word tree to
-depth D prints (|u|+|v|)(3^(D+1)-1)/2 letters, and its longest node word is the
-largest entry of mediant level D+1 grown from (|u|, |v|), so ``tree
+depth D prints (|u|+|v|)(3^(D+1)-1)/2 letters, and its longest node word has
+F(D+2)max(|u|,|v|) + F(D+1)min(|u|,|v|) letters (Fibonacci F), so ``tree
 christoffel`` and ``tree epi`` refuse more than MAX_TREE_LETTERS (16 *
-MAX_WORD_LENGTH) letters or a word over MAX_WORD_LENGTH: no word tree goes
-deeper than 14, and ``tree christoffel --depth 14 --format json`` writes 16 MB
-in 0.7 s at 21 MB peak RSS. ``tree sb`` to depth D prints 2^D - 1 entries, so
-it refuses more than MAX_SB_ENTRIES (MAX_WORD_LENGTH): ``--depth 20 --root
-1,2,4`` takes 5-7 s at about 290 MB, nearly all of it the last row. ``diagonal``
-costs O(log k + count) integer steps and builds no tree level, so ``--k`` is
-not bounded by memory.
+MAX_WORD_LENGTH) letters, then a word over MAX_WORD_LENGTH by the guard of
+``tree_levels``: no word tree goes deeper than 14, and ``tree christoffel
+--depth 14 --format json`` writes 16 MB in 0.7 s at 21 MB peak RSS. ``tree
+sb`` to depth D prints 2^D - 1 entries, so it refuses more than MAX_SB_ENTRIES
+(MAX_WORD_LENGTH): ``--depth 20 --root 1,2,4`` takes 5-7 s at about 290 MB,
+nearly all of it the last row. ``diagonal`` costs O(log k + count) integer
+steps and builds no tree level, so ``--k`` is not bounded by memory.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from .morphisms import parse_morphisms
 from .trees import (
     CLASSICAL_SEED,
     TreeNode,
+    _check_node_words,
     _preorder,
     _walk_to_tuple,
     christoffel_tree,
     diagonal,
     epichristoffel_tree,
     sb_level_stream,
-    sb_sequence,
 )
 from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet, parikh
 
@@ -55,11 +55,6 @@ from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet,
 MAX_TREE_LETTERS = 16 * MAX_WORD_LENGTH
 # Most entries `tree sb` may print: levels 1..D hold 2^D - 1, so depth 20 is the deepest.
 MAX_SB_ENTRIES = MAX_WORD_LENGTH
-
-
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
 
 
 def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
@@ -93,10 +88,7 @@ def _check_word_tree(node: TreeNode, depth: int) -> None:
     letters = size * (3 ** (depth + 1) - 1) // 2
     if letters > MAX_TREE_LETTERS:
         raise WordLengthOverflow(f"tree of {letters} letters exceeds the budget")
-    # The nodes at depth D are the longest; their lengths are mediant level D + 1 grown from (|u|, |v|).
-    lengths = sb_sequence((OccurrenceTuple((len(node.u),)), OccurrenceTuple((len(node.v),))), depth + 1)
-    if max(map(OccurrenceTuple.total, lengths)) > MAX_WORD_LENGTH:
-        raise WordLengthOverflow("child word would exceed the length budget")
+    _check_node_words(len(node.u), len(node.v), depth)
 
 
 def _word_tree_pieces(root: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> Iterator[str]:
@@ -157,7 +149,8 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except (EpiwordError, ValueError) as exc:
-            _fail(str(exc))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 @click.group(cls=_Group)
@@ -179,7 +172,7 @@ def christoffel_cmd(
     """Christoffel word of slope A/B."""
     alphabet = _alphabet_for(2, symbols)
     if alphabet.size != 2:
-        _fail("christoffel words need a two-letter alphabet")
+        raise ValueError("christoffel words need a two-letter alphabet")
     slope = Slope(a, b)
     word = christoffel_word(slope, alphabet)
     split = standard_factorization(slope, alphabet) if factorize else None
@@ -214,9 +207,11 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
     """Admissibility verdict for the occurrence tuple COUNTS (e.g. 1,2,4)."""
     p = OccurrenceTuple.parse(counts)
     alphabet = _alphabet_for(p.k, symbols)
+    if alphabet.size < p.k:
+        raise ValueError(f"alphabet size {alphabet.size} is smaller than tuple length {p.k}")
     trace = admissibility(p)
     if (show_word or show_split) and not trace.admissible:
-        _fail(f"{p} is not admissible: {trace.rejection}")
+        raise ValueError(f"{p} is not admissible: {trace.rejection}")
     if show_trace:
         steps = sum(q for _, q in trace.runs)
         if steps > MAX_WORD_LENGTH:
@@ -245,7 +240,7 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
 def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: str | None) -> None:
     """Emit a tree of the chosen KIND."""
     if depth < 0:
-        _fail("depth must be non-negative")
+        raise ValueError("depth must be non-negative")
     if kind == "sb":
         # 2^D - 1 > MAX_SB_ENTRIES exactly when D reaches this bit length; 2^D itself may not fit memory.
         if depth >= (MAX_SB_ENTRIES + 1).bit_length():
@@ -259,7 +254,7 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
         alphabet = _alphabet_for(2, symbols)
         root = christoffel_tree(alphabet)
     elif root_counts is None:
-        _fail("epi trees need --root")
+        raise ValueError("epi trees need --root")
     else:
         p = OccurrenceTuple.parse(root_counts)
         alphabet = _alphabet_for(p.k, symbols)
@@ -289,9 +284,9 @@ def find_cmd(root_counts: str, target_counts: str, symbols: str | None) -> None:
 def exists_cmd(n: int, k: int, all_letters: bool, limit: int | None) -> None:
     """List admissible K-tuples whose entries sum to LENGTH."""
     if n < 1 or k < 2:
-        _fail("need --length >= 1 and --k >= 2")
+        raise ValueError("need --length >= 1 and --k >= 2")
     if limit is not None and limit < 0:
-        _fail("need --max >= 0")
+        raise ValueError("need --max >= 0")
     found = tuples_of_length(n, k, all_letters)
     for p in found[:limit]:
         click.echo(",".join(str(c) for c in p.counts))
@@ -323,7 +318,7 @@ def diagonal_cmd(side: str, k: int, count: int, root_counts: str | None, symbols
     integer steps in all, with no tree level built, whatever the size of K.
     """
     if k < 1 or count < 1:
-        _fail("need --k >= 1 and --count >= 1")
+        raise ValueError("need --k >= 1 and --count >= 1")
     seed = _seed(root_counts, symbols)
     for entry in islice(diagonal(sb_level_stream(seed), side, k), count):
         click.echo(str(entry))

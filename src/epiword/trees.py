@@ -5,8 +5,9 @@ are (u, uv) and (uv, v). The Christoffel tree starts from (x, y); an
 epichristoffel tree starts from the split of an admissible tuple's word;
 Stern-Brocot trees carry fractions or occurrence tuples produced by
 repeated mediant insertion. Children are computed on demand, so a node is
-also the (conceptually infinite) tree hanging below it. One preorder walk
-serves the CLI and ``tree_levels``; siblings share the uv it builds once.
+also the (conceptually infinite) tree hanging below it. After one closed-form
+length guard, one preorder walk serves the CLI and ``tree_levels``; siblings
+share the uv it builds once.
 """
 
 from __future__ import annotations
@@ -62,17 +63,30 @@ class TreeNode:
         return f"({self.u}, {self.v})"
 
 
-def _concat(u: Word | str, v: Word | str, beside: int) -> Word | str:
+def _concat(u: Word, v: Word, beside: int) -> Word:
     """u*v, once a child (u, uv) or (uv, v) of uv and ``beside`` more letters is known to fit the budget."""
     if len(u) + len(v) + beside > MAX_WORD_LENGTH:
         raise WordLengthOverflow("child word would exceed the length budget")
     return u + v
 
 
+def _check_node_words(u_len: int, v_len: int, depth: int) -> None:
+    """Refuse a word tree to ``depth`` from (u, v) whose longest node word is over the length budget.
+
+    Node words at depth D are mediant level D + 1 from (|u|, |v|); the longest, F(D+2)max + F(D+1)min letters
+    (Fibonacci F, by alternating steps), is grown a step at a time: a few dozen additions at any depth.
+    """
+    a, b = sorted((u_len, v_len))
+    for _ in range(depth + 1 if b else 0):  # two empty words never grow
+        a, b = b, a + b
+        if b > MAX_WORD_LENGTH:
+            raise WordLengthOverflow("child word would exceed the length budget")
+
+
 def _preorder(u: Word | str, v: Word | str, depth: int) -> Iterator[tuple[bool, Word | str, Word | str, str]]:
     """Preorder events to ``depth``: (True, u, v, path) on entering a node, (False, u, v, path) on leaving it.
 
-    Words are ``Word``s or rendered strings, one symbol a letter; an expanded node builds uv once for both children.
+    Words are ``Word``s or rendered strings, one symbol a letter; an expanded node builds uv once, unchecked, for both.
     ``path`` is "n", then one L or R per step; the stack holds it and the right siblings to come.
     """
     stack = [(True, u, v, "n")]
@@ -82,7 +96,7 @@ def _preorder(u: Word | str, v: Word | str, depth: int) -> Iterator[tuple[bool, 
         if entering:
             stack.append((False, u, v, path))
             if len(path) <= depth:
-                uv = _concat(u, v, len(u) if len(u) > len(v) else len(v))  # cheaper than max() per node
+                uv = u + v
                 stack += [(True, uv, v, path + "R"), (True, u, uv, path + "L")]
 
 
@@ -227,14 +241,14 @@ def epichristoffel_tree(
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
-    """Materialize levels 0..depth, left to right: the preorder walk meets each depth first on the left spine."""
+    """Levels 0..depth, left to right, from the preorder walk once every node word is known to fit the budget."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    levels: list[list[TreeNode]] = []
+    if depth:  # a lone root concatenates nothing
+        _check_node_words(len(root.u), len(root.v), depth)
+    levels: list[list[TreeNode]] = [[] for _ in range(depth + 1)]
     for entering, u, v, path in _preorder(root.u, root.v, depth):
         if entering:
-            if len(path) > len(levels):
-                levels.append([])
             levels[len(path) - 1].append(TreeNode(u, v))
     return levels
 

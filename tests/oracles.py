@@ -13,8 +13,9 @@ least rotation of the word built for the letter counts, tree paths by one subtra
 and one node per step, word-tree levels breadth first by ``left`` and
 ``right`` on each node, admissible tuples by reducing every composition,
 mediant rows by one ``mediant`` call per neighbouring pair, Stern-Brocot
-diagonals by reading each level of those rows in turn, and the JSON form of
-a word tree by building it whole as nested dicts.
+diagonals by reading each level of those rows in turn, the longest node word
+of a word tree by the largest entry of the whole mediant row of its lengths,
+and the JSON form of a word tree by building it whole as nested dicts.
 """
 
 from dataclasses import dataclass
@@ -378,6 +379,14 @@ def naive_insert_mediants(seq):
     merged[0::2] = seq
     merged[1::2] = [mediant(a, b) for a, b in zip(seq, seq[1:])]
     return merged
+
+
+def naive_longest_node_word(u_len: int, v_len: int, depth: int) -> int:
+    """Letters in the longest node word to ``depth`` below (u, v): the largest entry of mediant level depth + 1."""
+    row = [OccurrenceTuple((u_len,)), OccurrenceTuple((v_len,))]
+    for _ in range(depth + 1):
+        row = naive_insert_mediants(row)
+    return max(entry.total() for entry in row)
 
 
 @lru_cache(maxsize=1)

@@ -335,9 +335,9 @@ def test_word_tree_over_the_word_length_budget_exits_2_before_any_output(monkeyp
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: child word would exceed the length budget\n"
     # The longest node of (x, y) to depth 2 is (xxy, xy), of 5 letters: a budget of 5 prints it, 4 refuses it.
-    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 5)
+    monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", 5)
     assert run("tree", "christoffel", "--depth", "2").stdout.count("\n") == 7
-    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 4)
+    monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", 4)
     result = run("tree", "christoffel", "--depth", "2")
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: child word would exceed the length budget\n"
@@ -347,11 +347,12 @@ def test_word_tree_over_the_word_length_budget_exits_2_before_any_output(monkeyp
 def test_word_tree_longest_node_check_matches_the_built_levels(monkeypatch, root):
     kind = "epi" if root else "christoffel"
     node = epichristoffel_tree(OccurrenceTuple.parse(root[1])) if root else christoffel_tree()
-    for depth in range(5):
-        longest = max(len(n.word) for level in tree_levels(node, depth) for n in level)
-        monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", longest)
+    # The guard and tree_levels both read the budget in epiword.trees, so every level is built before it is patched.
+    longests = [max(len(n.word) for level in tree_levels(node, depth) for n in level) for depth in range(5)]
+    for depth, longest in enumerate(longests):
+        monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", longest)
         assert run("tree", kind, *root, "--depth", str(depth)).exit_code == 0
-        monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", longest - 1)
+        monkeypatch.setattr("epiword.trees.MAX_WORD_LENGTH", longest - 1)
         assert run("tree", kind, *root, "--depth", str(depth)).exit_code == 2
 
 
@@ -443,6 +444,8 @@ def test_commands_are_deterministic():
         # Input bounds.
         (("christoffel", "40", "41", "--draw"), ""),
         (("exists", "--length", "7", "--k", "3", "--max", "-1"), ""),
+        # An alphabet shorter than the tuple, even for the verdict alone.
+        (("tuple", "1,2,4", "--alphabet", "ab"), ""),
     ],
 )
 def test_library_errors_exit_2_with_one_message(monkeypatch, args, stdout):
@@ -469,7 +472,8 @@ def test_trace_keeps_working_with_a_larger_alphabet():
     assert result.exit_code == 0
     assert result.output == "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\n"
     result = run("tuple", "1,2,4", "--alphabet", "ab")
-    assert result.exit_code == 0 and result.output == "admissible\n"
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: alphabet size 2 is smaller than tuple length 3\n"
 
 
 @pytest.mark.parametrize(

@@ -37,10 +37,11 @@ from epiword import (
     tree_isomorphism_check,
     tree_levels,
 )
-from epiword.trees import TreeNode, _walk_to_tuple, sb_sequence
+from epiword.trees import TreeNode, _check_node_words, _walk_to_tuple, sb_sequence
 from oracles import (
     naive_epichristoffel_tree,
     naive_insert_mediants,
+    naive_longest_node_word,
     naive_sb_diagonal,
     naive_tree_levels,
     naive_walk_to_tuple,
@@ -543,6 +544,38 @@ def test_tree_levels_match_the_breadth_first_oracle(p, depth, slack):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("epiword.trees.MAX_WORD_LENGTH", longest + slack)
             assert outcome(tree_levels, root, depth) == outcome(naive_tree_levels, root, depth)
+
+
+OVER_BUDGET = (WordLengthOverflow, "child word would exceed the length budget")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10**4), st.integers(1, 10**4), st.integers(0, 12), st.sampled_from((-1, 0)))
+def test_node_word_guard_matches_the_mediant_rows(u_len, v_len, depth, slack):
+    # A budget at the longest node word passes, one letter under it is refused.
+    longest = naive_longest_node_word(u_len, v_len, depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("epiword.trees.MAX_WORD_LENGTH", longest + slack)
+        assert outcome(_check_node_words, u_len, v_len, depth) == (OVER_BUDGET if slack else None)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tree_levels(christoffel_tree(), 30),
+        lambda: tree_levels(epichristoffel_tree(T((1, 2, 4))), 10**12),
+        lambda: classify_factorizability(T((1, 2, 4)), 40),
+    ],
+    ids=["christoffel-30", "epi-huge", "classify-40"],
+)
+def test_over_budget_trees_are_refused_before_the_walk(monkeypatch, call):
+    def refuse_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr("epiword.trees._preorder", refuse_walk)
+    elapsed, result = best_of(1, lambda: outcome(call))
+    assert result == OVER_BUDGET
+    assert elapsed < 0.1
 
 
 def counting_concatenations(monkeypatch) -> list:
