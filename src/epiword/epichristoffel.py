@@ -405,18 +405,33 @@ def tuples_of_length(n: int, k: int, require_all_letters: bool = False) -> list[
     return [OccurrenceTuple(c) for c in sorted(found)]
 
 
+# Most steps rendered by one %-format: a piece of a few tens of KB.
+_TRACE_CHUNK = 1024
+
+
+def _trace_pieces(trace: TTrace, symbols: str) -> Iterator[str]:
+    """The arrow rendering of ``trace`` in pieces: the start, then at most _TRACE_CHUNK steps of a run each.
+
+    The steps of run (i, q) differ only in entry i, top - j*rest for j = 1..q, so
+    a chunk of them is one %-format of the step repeated over a slice of that
+    arithmetic progression. A symbol may be ``%``, so it is escaped; the entries are integers.
+    """
+    yield str(trace.start)
+    for i, q, top, rest, left, right in _run_walk(trace):
+        head = f" ->{symbols[i]} (".replace("%", "%%") + "".join(f"{c}," for c in left)
+        step = head + "%d" + "".join(f",{c}" for c in right) + ")"
+        for j in range(1, q + 1, _TRACE_CHUNK):
+            n = min(_TRACE_CHUNK, q + 1 - j)
+            yield (step * n) % tuple(range(top - j * rest, top - (j + n) * rest, -rest))
+
+
 def format_trace(trace: TTrace, alphabet: Alphabet | None = None) -> str:
     """Arrow rendering, e.g. ``(1,4,2) ->y (1,1,2) ->z (1,1,0) ->y (1,0,0)``."""
     if alphabet is None:
         alphabet = default_alphabet(trace.start.k)
     if alphabet.size < trace.start.k:
         raise ValueError(f"alphabet size {alphabet.size} is smaller than tuple length {trace.start.k}")
-    parts = [str(trace.start)]
-    for i, q, top, rest, left, right in _run_walk(trace):
-        head = f"->{alphabet.symbols[i]} (" + "".join(f"{c}," for c in left)
-        tail = "".join(f",{c}" for c in right) + ")"
-        parts.extend(head + str(top - j * rest) + tail for j in range(1, q + 1))
-    return " ".join(parts)
+    return "".join(_trace_pieces(trace, alphabet.symbols))
 
 
 __all__ = [

@@ -37,6 +37,9 @@ from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, par
 
 Side = Literal["L", "R"]
 
+# Most nodes a word tree may hold, and most entries ``tree sb`` may print: depth 19 is the deepest word tree.
+MAX_TREE_NODES = MAX_WORD_LENGTH
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -71,16 +74,20 @@ def _concat(u: Word, v: Word, beside: int) -> Word:
 
 
 def _check_node_words(u_len: int, v_len: int, depth: int) -> None:
-    """Refuse a word tree to ``depth`` from (u, v) whose longest node word is over the length budget.
+    """Refuse a word tree to ``depth`` from (u, v) whose longest node word, or whose node count, is over budget.
 
     Node words at depth D are mediant level D + 1 from (|u|, |v|); the longest, F(D+2)max + F(D+1)min letters
-    (Fibonacci F, by alternating steps), is grown a step at a time: a few dozen additions at any depth.
+    (Fibonacci F, by alternating steps), is grown a step at a time: a few dozen additions at any depth. The tree
+    holds 2^(D+1) - 1 nodes, over MAX_TREE_NODES exactly when D + 1 reaches the bit length of MAX_TREE_NODES + 1.
+    The length is checked first, so a tree over both budgets keeps the length message.
     """
     a, b = sorted((u_len, v_len))
     for _ in range(depth + 1 if b else 0):  # two empty words never grow
         a, b = b, a + b
         if b > MAX_WORD_LENGTH:
             raise WordLengthOverflow("child word would exceed the length budget")
+    if depth + 1 >= (MAX_TREE_NODES + 1).bit_length():
+        raise WordLengthOverflow(f"tree of 2^{depth + 1} - 1 nodes exceeds the budget")
 
 
 def _preorder(u: Word | str, v: Word | str, depth: int) -> Iterator[tuple[bool, Word | str, Word | str, str]]:

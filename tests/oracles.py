@@ -25,6 +25,7 @@ from math import gcd
 
 from epiword import (
     BINARY,
+    Alphabet,
     CanonicalSplit,
     ConstructionResult,
     MorphismSeq,
@@ -187,9 +188,9 @@ class NaiveTrace:
     terminal: int | None
     rejection: str | None
 
-    def text(self) -> str:
+    def text(self, alphabet: Alphabet | None = None) -> str:
         """The arrow rendering of ``format_trace``, one step at a time."""
-        alphabet = default_alphabet(self.start.k)
+        alphabet = alphabet or default_alphabet(self.start.k)
         parts = [str(self.start)]
         for step in self.steps:
             parts.append(f"->{alphabet.symbols[step.index]}")

@@ -14,11 +14,14 @@ from epiword import (
     Alphabet,
     OccurrenceTuple,
     TreeNode,
+    admissibility,
     christoffel_tree,
     epichristoffel_tree,
+    format_trace,
     tree_levels,
 )
 from epiword.cli import _word_tree_pieces, _write, main
+from epiword.epichristoffel import _trace_pieces
 from oracles import tree_to_dict
 
 
@@ -262,6 +265,14 @@ def test_trace_inside_the_budget_prints_every_step():
     assert len(segments) == 1_000_002  # the start and 1,000,001 steps
     assert segments[:3] == ["(1,1,2000000)", "z (1,1,1999998)", "z (1,1,1999996)"]
     assert segments[-3:] == ["z (1,1,2)", "z (1,1,0)", "x (0,1,0)"]
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "a509392f0190c3ebf1264c519cf931f8696823aeb5e88c8ba1031d9f66817352"  # as printed before traces were streamed
+    )
+
+
+def test_trace_alphabet_symbols_are_printed_as_given():
+    result = run("tuple", "4,1,2", "--trace", "--alphabet", "%yz")
+    assert (result.exit_code, result.stdout) == (0, "(4,1,2) ->% (1,1,2) ->z (1,1,0) ->% (0,1,0)\nadmissible\n")
 
 
 def test_tree_over_the_letter_budget_exits_2_before_any_output(monkeypatch):
@@ -305,7 +316,9 @@ def test_trees_inside_the_letter_budget_print_as_before(args, letters, digests):
             assert sum(ch.isalpha() for ch in result.stdout) == letters
 
 
-def test_word_tree_is_written_as_it_is_walked(monkeypatch):
+def written_and_peak(monkeypatch, pieces) -> tuple[int, int]:
+    """The characters ``_write`` gives stdout for ``pieces``, and the tracemalloc peak while it writes them."""
+
     class Sink(io.TextIOBase):
         """A text stream that counts what it is given and keeps none of it."""
 
@@ -319,12 +332,24 @@ def test_word_tree_is_written_as_it_is_walked(monkeypatch):
     monkeypatch.setattr("epiword.cli.click.get_text_stream", lambda *args, **kwargs: sink)
     tracemalloc.start()
     try:
-        _write(_word_tree_pieces(christoffel_tree(), 12, "json", BINARY))
+        _write(pieces)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.written == 2_042_942  # the bytes of `tree christoffel --depth 12 --format json`
-    assert peak < sink.written / 4, (peak, sink.written)
+    return sink.written, peak
+
+
+def test_word_tree_is_written_as_it_is_walked(monkeypatch):
+    written, peak = written_and_peak(monkeypatch, _word_tree_pieces(christoffel_tree(), 12, "json", BINARY))
+    assert written == 2_042_942  # the bytes of `tree christoffel --depth 12 --format json`
+    assert peak < written / 4, (peak, written)
+
+
+def test_trace_is_written_as_it_is_rendered(monkeypatch):
+    trace = admissibility(OccurrenceTuple((1, 1, 400_000)))
+    written, peak = written_and_peak(monkeypatch, _trace_pieces(trace, "xyz"))
+    assert written == len(format_trace(trace)) > 3_000_000  # 200,001 steps
+    assert peak < written / 4, (peak, written)
 
 
 def test_word_tree_over_the_word_length_budget_exits_2_before_any_output(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from epiword import (
     AllZeroError,
+    Alphabet,
     BINARY,
     EmptyWordError,
     NotAdmissibleError,
@@ -36,7 +37,7 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
-from epiword.epichristoffel import _lyndon_image, _outer_atoms, split_construction
+from epiword.epichristoffel import _TRACE_CHUNK, _lyndon_image, _outer_atoms, split_construction
 from epiword.morphisms import apply
 from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
 from strategies import grown_tuples, near_misses
@@ -124,6 +125,7 @@ def test_format_trace():
     )
     assert format_trace(admissibility(T((2, 3, 7)))) == "(2,3,7) ->z (2,3,2) ->y (2,-1,2)"
     assert format_trace(admissibility(T((0, 1, 0)))) == "(0,1,0)"
+    assert format_trace(admissibility(T((4, 1, 2))), Alphabet("%yz")) == "(4,1,2) ->% (1,1,2) ->z (1,1,0) ->% (0,1,0)"
 
 
 def test_construct_examples():
@@ -227,6 +229,32 @@ def test_run_length_reduction_matches_the_step_by_step_oracle(p):
         assert trace.steps == expected.steps
         assert format_trace(trace) == expected.text()
         assert sum(q for _, q in trace.runs) == len(expected.steps)
+
+
+@st.composite
+def chunk_edge_runs(draw):
+    """(q, i, p): p's reduction starts with q steps on entry i, q at a chunk edge; entry i is max + 1 + (q - 1)*sum of the others."""
+    q = draw(st.sampled_from((_TRACE_CHUNK - 1, _TRACE_CHUNK, _TRACE_CHUNK + 1, 2 * _TRACE_CHUNK + 1)))
+    others = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any))
+    i = draw(st.integers(0, len(others)))
+    return q, i, T((*others[:i], max(others) + 1 + (q - 1) * sum(others), *others[i:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(chunk_edge_runs())
+def test_trace_chunks_render_as_the_step_by_step_oracle(case):
+    q, i, p = case
+    for rule in TIE_BREAKS:
+        trace = admissibility(p, rule)
+        assert trace.runs[0] == (i, q)
+        assert format_trace(trace) == naive_admissibility(p, rule).text()
+
+
+@pytest.mark.parametrize("symbols", ["%yz", "x%z", "%{}", "{%d"])
+def test_trace_symbols_are_not_format_syntax(symbols):
+    alphabet = Alphabet(symbols)
+    for p in [T((4, 1, 2)), T((1, 4, 2)), T((2, 3, 7)), T((1, 1, 2 * _TRACE_CHUNK + 3)), T((5, 3, 1))]:
+        assert format_trace(admissibility(p), alphabet) == naive_admissibility(p).text(alphabet)
 
 
 def refuse_steps(*args):

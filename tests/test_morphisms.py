@@ -112,8 +112,8 @@ def test_apply_respects_length_budget(monkeypatch):
 
 @st.composite
 def atoms_on_words(draw):
-    """An atom and a word over 2-5 letters or over 300; an atom letter may lie one step outside the alphabet."""
-    alphabet = draw(st.sampled_from([default_alphabet(k) for k in range(2, 6)] + [WIDE_ALPHABET]))
+    """An atom and a word over 2-8 letters or over 300; an atom letter may lie one step outside the alphabet."""
+    alphabet = draw(st.sampled_from([default_alphabet(k) for k in range(2, 9)] + [WIDE_ALPHABET]))
     word = Word(tuple(draw(st.lists(st.integers(0, alphabet.size - 1), max_size=40))), alphabet)
     a, b = draw(st.lists(st.integers(-1, alphabet.size), min_size=2, max_size=2, unique=True))
     atom = draw(st.sampled_from((Psi(a), PsiBar(a), Theta(a, b))))

@@ -578,6 +578,28 @@ def test_over_budget_trees_are_refused_before_the_walk(monkeypatch, call):
     assert elapsed < 0.1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tree_levels(christoffel_tree(), 27),
+        lambda: tree_levels(TreeNode(BINARY.word(""), BINARY.word("")), 10**12),
+        lambda: classify_factorizability(T((1, 1)), 27),
+    ],
+    ids=["christoffel-27", "empty-huge", "classify-27"],
+)
+def test_trees_over_the_node_budget_are_refused_before_the_walk(monkeypatch, call):
+    # Depth 27 passes the length guard (F(30) = 832,040 letters) but holds 2^28 - 1 nodes.
+    monkeypatch.setattr("epiword.trees._preorder", lambda *args: pytest.fail("the walk started"))
+    elapsed, result = best_of(1, lambda: outcome(call))
+    assert result[0] is WordLengthOverflow and result[1].endswith(" - 1 nodes exceeds the budget")
+    assert elapsed < 0.01
+
+
+def test_node_budget_keeps_depth_19():
+    assert _check_node_words(1, 1, 19) is None  # 2^20 - 1 nodes
+    assert outcome(_check_node_words, 1, 1, 20) == (WordLengthOverflow, "tree of 2^21 - 1 nodes exceeds the budget")
+
+
 def counting_concatenations(monkeypatch) -> list:
     calls = []
     concat = Word.__add__
