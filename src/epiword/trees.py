@@ -12,10 +12,11 @@ share the uv it builds once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd
-from operator import add, attrgetter
+from operator import add
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .christoffel import _tree_walk
@@ -147,49 +148,84 @@ def mediant(a: SBEntry, b: SBEntry) -> SBEntry:
     raise DimensionMismatchError("mediant needs two fractions or two equal-length tuples")
 
 
-def _insert_mediants(seq: list[SBEntry]) -> list[SBEntry]:
-    """One round of mediant insertion: the old entries, with a mediant between each pair.
+def _insert_mediants(columns: list[list[int]]) -> None:
+    """One round of mediant insertion on a row held as integer columns, in place.
 
-    Every entry of a row is a combination of the seed pair, its two ends, so
-    ``mediant`` checks the ends once; the mediants are then summed one column
-    at a time, neighbour to neighbour, and built by the usual constructors.
+    Each column is summed neighbour to neighbour by one C-level ``map`` written
+    straight into the odd positions of the new column, where the level's
+    mediants sit; no entry is built.
     """
-    if isinstance(mediant(seq[0], seq[-1]), Fraction):
-        nums, dens = list(map(attrgetter("num"), seq)), list(map(attrgetter("den"), seq))
-        mids = list(map(Fraction, map(add, nums, nums[1:]), map(add, dens, dens[1:])))
+    for i, c in enumerate(columns):
+        row = [0] * (2 * len(c) - 1)
+        row[0::2] = c
+        row[1::2] = map(add, c, islice(c, 1, None))
+        columns[i] = row
+
+
+def _row_columns(seed: tuple[SBEntry, SBEntry], rounds: int) -> tuple[type, list[list[int]]]:
+    """The class of the seed pair's mediant, checked once by ``mediant``, and the row after ``rounds`` rounds.
+
+    The row is held as columns: a ``num`` and a ``den`` column for fractions, one column per letter for tuples.
+    """
+    a, b = seed
+    cls = type(mediant(a, b))
+    if cls is Fraction:
+        columns = [[a.num, b.num], [a.den, b.den]]
     else:
-        columns = list(zip(*map(attrgetter("counts"), seq)))
-        mids = list(map(OccurrenceTuple, zip(*[map(add, c, c[1:]) for c in columns])))
-    merged = [seq[0]] * (2 * len(seq) - 1)
-    merged[0::2] = seq
-    merged[1::2] = mids
-    return merged
+        columns = list(map(list, zip(a.counts, b.counts)))
+    for _ in range(rounds):
+        _insert_mediants(columns)
+    return cls, columns
+
+
+def _entries(cls: type, columns: list[list[int]], positions: range) -> tuple[SBEntry, ...]:
+    """The entries of ``cls`` at ``positions`` of a row held as columns, built in one C-level batch.
+
+    No constructor runs. Every entry is a sum of seed entries that were already
+    checked, fractions with non-negative parts and a positive sum or tuples of one
+    shared length, so it passes the constructor's check, as the words that
+    ``Word._trusted`` builds do. Each slot descriptor's ``__set__`` fills one field
+    of every entry, and the frozen ``__setattr__`` still refuses assignment.
+    """
+    entries = tuple(map(cls.__new__, repeat(cls, len(positions))))
+    parts = [islice(c, positions.start, positions.stop, positions.step) for c in columns]
+    if cls is Fraction:
+        fields = zip((Fraction.num, Fraction.den), parts)
+    else:
+        fields = [(OccurrenceTuple.counts, zip(*parts))]
+    for slot, values in fields:
+        deque(map(slot.__set__, entries, values), maxlen=0)
+    return entries
 
 
 class _SBLevelStream:
     """Levels ``index``, ``index + 1``, ... of the mediant tree grown from ``seed``, forever.
 
     The row, the whole sequence after ``index - 1`` rounds of insertion, is
-    built from the seed on first use and after ``advance_to``, so a caller
-    that only moves the index forward, as ``diagonal`` does, builds nothing.
+    held as integer columns. They are built from the seed on first use and
+    after ``advance_to``, so a caller that only moves the index forward, as
+    ``diagonal`` does, builds nothing, and a rebuild makes no entry for the
+    levels it skips. Each level's mediants become entries in one batch.
     """
 
     def __init__(self, seed: tuple[SBEntry, SBEntry]) -> None:
         self.seed = (seed[0], seed[1])
         self.index = 1
-        self._row: list[SBEntry] | None = None
+        self._cls: type | None = None
+        self._columns: list[list[int]] | None = None
 
     def advance_to(self, index: int) -> None:
         """Move to level ``index``; its row is built from the seed when next needed."""
-        self.index, self._row = index, None
+        self.index, self._columns = index, None
 
     def __iter__(self) -> "_SBLevelStream":
         return self
 
     def __next__(self) -> SBLevel:
-        row = sb_sequence(self.seed, self.index - 1) if self._row is None else self._row
-        self._row = _insert_mediants(row)
-        level = SBLevel(self.index, tuple(self._row[1::2]))
+        if self._columns is None:
+            self._cls, self._columns = _row_columns(self.seed, self.index - 1)
+        _insert_mediants(self._columns)
+        level = SBLevel(self.index, _entries(self._cls, self._columns, range(1, len(self._columns[0]), 2)))
         self.index += 1
         return level
 
@@ -207,11 +243,13 @@ def stern_brocot_levels(seed: tuple[SBEntry, SBEntry], count: int) -> list[SBLev
 
 
 def sb_sequence(seed: tuple[SBEntry, SBEntry], iterations: int) -> list[SBEntry]:
-    """The full sequence after ``iterations`` rounds of mediant insertion."""
-    seq: list[SBEntry] = [seed[0], seed[1]]
-    for _ in range(iterations):
-        seq = _insert_mediants(seq)
-    return seq
+    """The full sequence after ``iterations`` rounds of mediant insertion; its ends are the seed pair itself."""
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    if not iterations:
+        return [seed[0], seed[1]]
+    cls, columns = _row_columns(seed, iterations)
+    return [seed[0], *_entries(cls, columns, range(1, len(columns[0]) - 1)), seed[1]]
 
 
 def christoffel_tree(alphabet: Alphabet = BINARY) -> TreeNode:

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import islice
 from math import gcd
 
@@ -37,6 +38,7 @@ from epiword import (
     tree_isomorphism_check,
     tree_levels,
 )
+from epiword import trees
 from epiword.trees import TreeNode, _check_node_words, _walk_to_tuple, sb_sequence
 from oracles import (
     naive_epichristoffel_tree,
@@ -141,7 +143,7 @@ def tuples_of(k):
     return st.lists(st.integers(0, 50), min_size=k, max_size=k).map(lambda c: T(tuple(c)))
 
 
-tuple_seeds = st.integers(2, 6).flatmap(lambda k: st.tuples(tuples_of(k), tuples_of(k)))
+tuple_seeds = st.integers(1, 6).flatmap(lambda k: st.tuples(tuples_of(k), tuples_of(k)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,6 +154,15 @@ def test_mediant_rows_match_the_per_pair_oracle(seed, rounds):
     levels = stern_brocot_levels(seed, rounds)
     assert [level.index for level in levels] == list(range(1, rounds + 1))
     assert [list(level.entries) for level in levels] == [row[1::2] for row in rows[1:]]
+    # Entries are built in a batch, with no constructor call; each must be the value its constructor builds.
+    built = sb_sequence(seed, rounds) + [entry for level in levels for entry in level.entries]
+    want = rows[-1] + [entry for row in rows[1:] for entry in row[1::2]]
+    for got, entry in zip(built, want, strict=True):
+        assert type(got) is type(entry) and type(entry) in (Fraction, T)
+        assert (got, hash(got), str(got), repr(got)) == (entry, hash(entry), str(entry), repr(entry))
+    for got in built[1:-1]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(got, "counts" if type(got) is T else "num", 0)
 
 
 mismatched_seeds = (
@@ -178,6 +189,20 @@ def test_levels_take_under_three_quarters_of_the_per_pair_oracle():
     slow, want = best_of(3, lambda: [tuple(row[1::2]) for row in naive_rows(seed, 14)[1:]])
     assert [level.entries for level in levels] == want
     assert fast < 0.75 * slow, (fast, slow)
+
+
+def test_fraction_levels_take_under_three_quarters_of_the_per_pair_oracle():
+    fast, levels = best_of(3, lambda: stern_brocot_levels(CLASSICAL_SEED, 15))
+    slow, want = best_of(3, lambda: [tuple(row[1::2]) for row in naive_rows(CLASSICAL_SEED, 15)[1:]])
+    assert [level.entries for level in levels] == want
+    assert fast < 0.75 * slow, (fast, slow)
+
+
+def test_negative_iterations_are_rejected():
+    with pytest.raises(ValueError, match="^iterations must be non-negative$"):
+        sb_sequence(CLASSICAL_SEED, -3)
+    with pytest.raises(ValueError, match="^count must be non-negative$"):
+        stern_brocot_levels(CLASSICAL_SEED, -3)
 
 
 def test_epichristoffel_tree_roots():
@@ -329,6 +354,25 @@ def test_diagonal_of_a_stream_builds_no_level(monkeypatch):
     assert got == ["572471677/203949877", "572471677/776421554", "572471677/1348893231"]
     best, _ = best_of(3, lambda: list(islice(diagonal(sb_level_stream(SB_SEEDS[2]), "R", 100_000), 5)))
     assert best < 0.01
+
+
+def test_next_level_after_a_diagonal_builds_only_its_own_entries(monkeypatch):
+    built = []
+    entries = trees._entries
+
+    def counting(cls, columns, positions):
+        built.append(len(positions))
+        return entries(cls, columns, positions)
+
+    monkeypatch.setattr("epiword.trees._entries", counting)
+    for seed in (CLASSICAL_SEED, SB_SEEDS[1]):
+        stream = sb_level_stream(seed)
+        list(islice(diagonal(stream, "L", 100), 3))  # levels 8 to 10
+        assert built == []
+        level = next(stream)
+        assert level.index == 11 and built == [2**10]
+        assert level == stern_brocot_levels(seed, 11)[-1]
+        built.clear()
 
 
 def test_diagonal_scans_levels_that_are_not_a_stream():
