@@ -3,22 +3,10 @@
 Exit codes: 0 success, 1 valid-but-negative answer (rejected tuple, no
 tuples found), 2 input or domain error: every library error (EpiwordError,
 ValueError) exits 2 with ``error: <message>`` from one handler on the group.
-``christoffel --draw`` refuses grids of more than MAX_WORD_LENGTH cells, and
-``tuple --trace`` traces of more than MAX_WORD_LENGTH steps. A trace is written
-in pieces as it is rendered, up to 1,024 steps a piece, so ``tuple 1,1,2000000
---trace`` writes 17 MB in about 0.4 s at 17 MB peak RSS (2-CPU Xeon, Python
-3.11). A tree's size is
-known before any work, and the tree is written as it is walked. A word tree to
-depth D prints (|u|+|v|)(3^(D+1)-1)/2 letters, and its longest node word has
-F(D+2)max(|u|,|v|) + F(D+1)min(|u|,|v|) letters (Fibonacci F), so ``tree
-christoffel`` and ``tree epi`` refuse more than MAX_TREE_LETTERS (16 *
-MAX_WORD_LENGTH) letters, then a word over MAX_WORD_LENGTH by the guard of
-``tree_levels``: no word tree goes deeper than 14, and ``tree christoffel
---depth 14 --format json`` writes 16 MB in 0.7 s at 21 MB peak RSS. ``tree
-sb`` to depth D prints 2^D - 1 entries, so it refuses more than MAX_SB_ENTRIES
-(MAX_TREE_NODES, the node budget of ``tree_levels``): ``--depth 20 --root
-1,2,4`` takes 5-7 s at about 290 MB, nearly all of it the last row. ``diagonal`` costs O(log k + count) integer
-steps and builds no tree level, so ``--k`` is not bounded by memory.
+The size rules are the library's, checked before anything of the refused
+output is written: word lengths in each module, word and Stern-Brocot trees in
+``trees``, traces in ``epichristoffel``. Only the ``christoffel --draw`` grid
+is bounded here.
 """
 
 from __future__ import annotations
@@ -37,9 +25,9 @@ from .morphisms import apply as apply_morphisms
 from .morphisms import parse_morphisms
 from .trees import (
     CLASSICAL_SEED,
-    MAX_TREE_NODES,
     TreeNode,
-    _check_node_words,
+    _check_sb_levels,
+    _check_word_tree,
     _preorder,
     _walk_to_tuple,
     christoffel_tree,
@@ -48,11 +36,6 @@ from .trees import (
     sb_level_stream,
 )
 from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet, parikh
-
-# Most letters a word tree may print; `tree epi --root 1,2,4 --depth 12` prints 5.6 M.
-MAX_TREE_LETTERS = 16 * MAX_WORD_LENGTH
-# Most entries `tree sb` may print: levels 1..D hold 2^D - 1, so depth 20 is the deepest.
-MAX_SB_ENTRIES = MAX_TREE_NODES
 
 
 def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
@@ -75,18 +58,6 @@ def _write(pieces: Iterable[str]) -> None:
     out = click.get_text_stream("stdout", errors=None)
     out.writelines(pieces)
     out.flush()
-
-
-def _check_word_tree(node: TreeNode, depth: int) -> None:
-    """Refuse a word tree over the letter budget, or with a node word over the length budget."""
-    size = len(node.u) + len(node.v)
-    # From the budget's bit length on, 3^(D+1) - 1 > 2^D exceeds it; 3^(D+1) itself may not fit memory.
-    if depth >= MAX_TREE_LETTERS.bit_length():
-        raise WordLengthOverflow(f"tree of {size}(3^{depth + 1} - 1)/2 letters exceeds the budget")
-    letters = size * (3 ** (depth + 1) - 1) // 2
-    if letters > MAX_TREE_LETTERS:
-        raise WordLengthOverflow(f"tree of {letters} letters exceeds the budget")
-    _check_node_words(len(node.u), len(node.v), depth)
 
 
 def _word_tree_pieces(root: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> Iterator[str]:
@@ -211,9 +182,6 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
     if (show_word or show_split) and not trace.admissible:
         raise ValueError(f"{p} is not admissible: {trace.rejection}")
     if show_trace:
-        steps = sum(q for _, q in trace.runs)
-        if steps > MAX_WORD_LENGTH:
-            raise WordLengthOverflow(f"trace of {steps} steps exceeds the budget")
         _write(chain(_trace_pieces(trace, alphabet.symbols), ["\n"]))
         click.echo("admissible" if trace.admissible else "rejected")
     if show_word or show_split:
@@ -240,9 +208,7 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if kind == "sb":
-        # 2^D - 1 > MAX_SB_ENTRIES exactly when D reaches this bit length; 2^D itself may not fit memory.
-        if depth >= (MAX_SB_ENTRIES + 1).bit_length():
-            raise WordLengthOverflow(f"tree of 2^{depth} - 1 entries exceeds the budget")
+        _check_sb_levels(depth)
         # Stern-Brocot: classical fractions, or the tuple tree of an epi root.
         _write(_sb_pieces(islice(sb_level_stream(_seed(root_counts, symbols)), depth), fmt))
         return

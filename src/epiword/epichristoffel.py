@@ -412,10 +412,14 @@ _TRACE_CHUNK = 1024
 def _trace_pieces(trace: TTrace, symbols: str) -> Iterator[str]:
     """The arrow rendering of ``trace`` in pieces: the start, then at most _TRACE_CHUNK steps of a run each.
 
+    A trace of more than MAX_WORD_LENGTH steps is refused, from its runs, before the first piece.
     The steps of run (i, q) differ only in entry i, top - j*rest for j = 1..q, so
     a chunk of them is one %-format of the step repeated over a slice of that
     arithmetic progression. A symbol may be ``%``, so it is escaped; the entries are integers.
     """
+    steps = sum(q for _, q in trace.runs)
+    if steps > MAX_WORD_LENGTH:
+        raise WordLengthOverflow(f"trace of {steps} steps exceeds the budget")
     yield str(trace.start)
     for i, q, top, rest, left, right in _run_walk(trace):
         head = f" ->{symbols[i]} (".replace("%", "%%") + "".join(f"{c}," for c in left)
@@ -426,7 +430,7 @@ def _trace_pieces(trace: TTrace, symbols: str) -> Iterator[str]:
 
 
 def format_trace(trace: TTrace, alphabet: Alphabet | None = None) -> str:
-    """Arrow rendering, e.g. ``(1,4,2) ->y (1,1,2) ->z (1,1,0) ->y (1,0,0)``."""
+    """Arrow rendering, e.g. ``(1,4,2) ->y (1,1,2) ->z (1,1,0) ->y (1,0,0)``, of at most MAX_WORD_LENGTH steps."""
     if alphabet is None:
         alphabet = default_alphabet(trace.start.k)
     if alphabet.size < trace.start.k:

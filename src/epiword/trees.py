@@ -5,9 +5,11 @@ are (u, uv) and (uv, v). The Christoffel tree starts from (x, y); an
 epichristoffel tree starts from the split of an admissible tuple's word;
 Stern-Brocot trees carry fractions or occurrence tuples produced by
 repeated mediant insertion. Children are computed on demand, so a node is
-also the (conceptually infinite) tree hanging below it. After one closed-form
-length guard, one preorder walk serves the CLI and ``tree_levels``; siblings
-share the uv it builds once.
+also the (conceptually infinite) tree hanging below it. The size rules live
+here, and the CLI runs the same ones: a word tree's letters and longest node
+word, and a Stern-Brocot tree's entries, are checked from closed forms before
+any work. One preorder walk serves the CLI and ``tree_levels``; siblings share
+the uv it builds once.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, par
 
 Side = Literal["L", "R"]
 
-# Most nodes a word tree may hold, and most entries ``tree sb`` may print: depth 19 is the deepest word tree.
-MAX_TREE_NODES = MAX_WORD_LENGTH
+# Most letters the node pairs of a word tree may hold; depth 14 is the deepest Christoffel tree.
+MAX_TREE_LETTERS = 16 * MAX_WORD_LENGTH
+# Most entries a Stern-Brocot tree may hold: levels 1..D hold 2^D - 1, so depth 20 is the deepest.
+MAX_SB_ENTRIES = MAX_WORD_LENGTH
 
 
 @dataclass(frozen=True)
@@ -74,21 +78,43 @@ def _concat(u: Word, v: Word, beside: int) -> Word:
     return u + v
 
 
+def _check_word_tree(root: TreeNode, depth: int) -> None:
+    """Refuse a word tree to ``depth`` over MAX_TREE_LETTERS letters, then one with a node word over MAX_WORD_LENGTH.
+
+    The node pairs to depth D hold (|u|+|v|)(3^(D+1) - 1)/2 letters: what ``tree`` prints, and what ``node.word``
+    over every level builds. When |u|+|v| >= 1 that also bounds the nodes, 2^(D+1) - 1. Two empty words never
+    grow, so their tree is held to the depths a one-letter root reaches, whose letters bound its nodes.
+    """
+    size = len(root.u) + len(root.v)
+    # From the budget's bit length on, (3^(D+1) - 1)/2 >= 2^D exceeds it; 3^(D+1) itself may not fit memory.
+    huge = depth >= MAX_TREE_LETTERS.bit_length()
+    if not size and (huge or (3 ** (depth + 1) - 1) // 2 > MAX_TREE_LETTERS):
+        raise WordLengthOverflow(f"tree of 2^{depth + 1} - 1 nodes exceeds the budget")
+    if huge:
+        raise WordLengthOverflow(f"tree of {size}(3^{depth + 1} - 1)/2 letters exceeds the budget")
+    letters = size * (3 ** (depth + 1) - 1) // 2
+    if letters > MAX_TREE_LETTERS:
+        raise WordLengthOverflow(f"tree of {letters} letters exceeds the budget")
+    _check_node_words(len(root.u), len(root.v), depth)
+
+
 def _check_node_words(u_len: int, v_len: int, depth: int) -> None:
-    """Refuse a word tree to ``depth`` from (u, v) whose longest node word, or whose node count, is over budget.
+    """Refuse a word tree to ``depth`` from (u, v) whose longest node word is over MAX_WORD_LENGTH.
 
     Node words at depth D are mediant level D + 1 from (|u|, |v|); the longest, F(D+2)max + F(D+1)min letters
-    (Fibonacci F, by alternating steps), is grown a step at a time: a few dozen additions at any depth. The tree
-    holds 2^(D+1) - 1 nodes, over MAX_TREE_NODES exactly when D + 1 reaches the bit length of MAX_TREE_NODES + 1.
-    The length is checked first, so a tree over both budgets keeps the length message.
+    (Fibonacci F, by alternating steps), is grown a step at a time: a few dozen additions at any depth.
     """
     a, b = sorted((u_len, v_len))
     for _ in range(depth + 1 if b else 0):  # two empty words never grow
         a, b = b, a + b
         if b > MAX_WORD_LENGTH:
             raise WordLengthOverflow("child word would exceed the length budget")
-    if depth + 1 >= (MAX_TREE_NODES + 1).bit_length():
-        raise WordLengthOverflow(f"tree of 2^{depth + 1} - 1 nodes exceeds the budget")
+
+
+def _check_sb_levels(count: int) -> None:
+    """Refuse Stern-Brocot levels 1..``count``, 2^count - 1 entries, over MAX_SB_ENTRIES; 2^count is never built."""
+    if count >= (MAX_SB_ENTRIES + 1).bit_length():
+        raise WordLengthOverflow(f"tree of 2^{count} - 1 entries exceeds the budget")
 
 
 def _preorder(u: Word | str, v: Word | str, depth: int) -> Iterator[tuple[bool, Word | str, Word | str, str]]:
@@ -222,6 +248,7 @@ class _SBLevelStream:
         return self
 
     def __next__(self) -> SBLevel:
+        _check_sb_levels(self.index)
         if self._columns is None:
             self._cls, self._columns = _row_columns(self.seed, self.index - 1)
         _insert_mediants(self._columns)
@@ -239,6 +266,7 @@ def stern_brocot_levels(seed: tuple[SBEntry, SBEntry], count: int) -> list[SBLev
     """The first ``count`` levels of new mediants for the given seed pair."""
     if count < 0:
         raise ValueError("count must be non-negative")
+    _check_sb_levels(count)
     return list(islice(sb_level_stream(seed), count))
 
 
@@ -246,6 +274,7 @@ def sb_sequence(seed: tuple[SBEntry, SBEntry], iterations: int) -> list[SBEntry]
     """The full sequence after ``iterations`` rounds of mediant insertion; its ends are the seed pair itself."""
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
+    _check_sb_levels(iterations)  # the entries between the seed pair are levels 1..iterations
     if not iterations:
         return [seed[0], seed[1]]
     cls, columns = _row_columns(seed, iterations)
@@ -286,11 +315,11 @@ def epichristoffel_tree(
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
-    """Levels 0..depth, left to right, from the preorder walk once every node word is known to fit the budget."""
+    """Levels 0..depth, left to right, from the preorder walk once the tree is known to fit the budgets."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if depth:  # a lone root concatenates nothing
-        _check_node_words(len(root.u), len(root.v), depth)
+        _check_word_tree(root, depth)
     levels: list[list[TreeNode]] = [[] for _ in range(depth + 1)]
     for entering, u, v, path in _preorder(root.u, root.v, depth):
         if entering:
@@ -335,13 +364,9 @@ def _stern(m: int) -> int:
 
 def _seed_combination(a: SBEntry, b: SBEntry) -> Callable[[int, int], SBEntry]:
     """(x, y) -> x*a + y*b, componentwise, once the pair passes ``mediant``'s checks."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
+    if type(mediant(a, b)) is Fraction:
         return lambda x, y: Fraction(x * a.num + y * b.num, x * a.den + y * b.den)
-    if isinstance(a, OccurrenceTuple) and isinstance(b, OccurrenceTuple):
-        if a.k != b.k:
-            raise DimensionMismatchError(f"tuple lengths differ: {a.k} vs {b.k}")
-        return lambda x, y: OccurrenceTuple(tuple(x * p + y * q for p, q in zip(a.counts, b.counts)))
-    raise DimensionMismatchError("mediant needs two fractions or two equal-length tuples")
+    return lambda x, y: OccurrenceTuple(tuple(x * p + y * q for p, q in zip(a.counts, b.counts)))
 
 
 def _sb_diagonal(stream: _SBLevelStream, side: Side, k: int) -> Iterator[SBEntry]:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epiword import (
     BINARY,
@@ -14,6 +16,7 @@ from epiword import (
     Alphabet,
     OccurrenceTuple,
     TreeNode,
+    WordLengthOverflow,
     admissibility,
     christoffel_tree,
     epichristoffel_tree,
@@ -23,6 +26,7 @@ from epiword import (
 from epiword.cli import _word_tree_pieces, _write, main
 from epiword.epichristoffel import _trace_pieces
 from oracles import tree_to_dict
+from strategies import grown_tuples
 
 
 def run(*args, env=None):
@@ -248,9 +252,9 @@ def test_trace_over_the_budget_exits_2_before_any_output(monkeypatch):
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: trace of 10000001 steps exceeds the budget\n"
     # (1,4,2) reduces in 3 steps: a budget of 3 prints them, 2 refuses them.
-    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 3)
+    monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 3)
     assert run("tuple", "1,4,2", "--trace").exit_code == 0
-    monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 2)
+    monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 2)
     result = run("tuple", "1,4,2", "--trace")
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: trace of 3 steps exceeds the budget\n"
@@ -283,9 +287,9 @@ def test_tree_over_the_letter_budget_exits_2_before_any_output(monkeypatch):
     assert result.stderr == "error: tree of 321255883 letters exceeds the budget\n"
     # (x, y) to depth 1 prints 2 + 3 * 2 = 8 letters: a budget of 8 prints them, 7 refuses them.
     for fmt in ("text", "json", "dot"):
-        monkeypatch.setattr("epiword.cli.MAX_TREE_LETTERS", 8)
+        monkeypatch.setattr("epiword.trees.MAX_TREE_LETTERS", 8)
         assert run("tree", "christoffel", "--depth", "1", "--format", fmt).exit_code == 0
-        monkeypatch.setattr("epiword.cli.MAX_TREE_LETTERS", 7)
+        monkeypatch.setattr("epiword.trees.MAX_TREE_LETTERS", 7)
         result = run("tree", "christoffel", "--depth", "1", "--format", fmt)
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "error: tree of 8 letters exceeds the budget\n"
@@ -381,6 +385,30 @@ def test_word_tree_longest_node_check_matches_the_built_levels(monkeypatch, root
         assert run("tree", kind, *root, "--depth", str(depth)).exit_code == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.none() | grown_tuples(300), st.integers(2, 5), st.sampled_from((-1, 0, 1, 10**12)), st.integers(-1, 1),
+       st.integers(-1, 1))
+def test_tree_levels_refuse_exactly_what_the_tree_command_refuses(p, edge, step, letter_slack, length_slack):
+    # None stands for the Christoffel tree; a unit tuple has no split, so no tree.
+    assume(p is None or p.total() > 1)
+    root = christoffel_tree() if p is None else epichristoffel_tree(p)
+    args = ("christoffel",) if p is None else ("epi", "--root", ",".join(map(str, p.counts)))
+    # Both budgets sit around the size of the tree to depth ``edge``; the query is a depth near it, or a huge one.
+    letters = (len(root.u) + len(root.v)) * (3 ** (edge + 1) - 1) // 2
+    longest = max(len(node.word) for level in tree_levels(root, edge) for node in level)
+    depth = edge + step if step < 10**12 else step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("epiword.trees.MAX_TREE_LETTERS", letters + letter_slack)
+        mp.setattr("epiword.trees.MAX_WORD_LENGTH", longest + length_slack)
+        result = run("tree", *args, "--depth", str(depth))
+        try:
+            tree_levels(root, depth)
+        except WordLengthOverflow as exc:
+            assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {exc}\n")
+        else:
+            assert result.exit_code == 0
+
+
 @pytest.mark.parametrize("args", [("christoffel",), ("epi", "--root", "1,2,4"), ("sb",)])
 def test_trees_of_a_huge_depth_exit_2_at_once(args):
     start = time.perf_counter()
@@ -432,9 +460,9 @@ def test_sb_tree_over_the_entry_budget_exits_2_before_any_level(monkeypatch):
     assert built == [CLASSICAL_SEED]
     # Levels 1..3 hold 7 entries: a budget of 7 prints them, 6 refuses them.
     monkeypatch.undo()
-    monkeypatch.setattr("epiword.cli.MAX_SB_ENTRIES", 7)
+    monkeypatch.setattr("epiword.trees.MAX_SB_ENTRIES", 7)
     assert run("tree", "sb", "--depth", "3").stdout.count("/") == 7
-    monkeypatch.setattr("epiword.cli.MAX_SB_ENTRIES", 6)
+    monkeypatch.setattr("epiword.trees.MAX_SB_ENTRIES", 6)
     result = run("tree", "sb", "--depth", "3")
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: tree of 2^3 - 1 entries exceeds the budget\n"

@@ -128,6 +128,22 @@ def test_format_trace():
     assert format_trace(admissibility(T((4, 1, 2))), Alphabet("%yz")) == "(4,1,2) ->% (1,1,2) ->z (1,1,0) ->% (0,1,0)"
 
 
+def test_trace_over_the_step_budget_is_refused_before_rendering(monkeypatch):
+    trace = admissibility(T((1, 1, 10**12)))
+    monkeypatch.setattr("epiword.epichristoffel._run_walk", lambda *args: pytest.fail("the trace was rendered"))
+    start = time.perf_counter()
+    with pytest.raises(WordLengthOverflow, match=r"^trace of 500000000001 steps exceeds the budget$"):
+        format_trace(trace)
+    assert time.perf_counter() - start < 0.01
+    # (1,4,2) reduces in 3 steps: a budget of 3 renders them, 2 refuses them.
+    monkeypatch.undo()
+    monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 3)
+    assert format_trace(admissibility(T((1, 4, 2)))).count("->") == 3
+    monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 2)
+    with pytest.raises(WordLengthOverflow, match=r"^trace of 3 steps exceeds the budget$"):
+        format_trace(admissibility(T((1, 4, 2))))
+
+
 def test_construct_examples():
     r = construct(T((1, 4, 2)))
     assert (str(r.c_word), str(r.epi_word)) == ("yzyyzyx", "xyzyyzy")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import islice
 from math import gcd
@@ -348,10 +349,13 @@ def refuse_level(*args):
 
 
 def test_diagonal_of_a_stream_builds_no_level(monkeypatch):
-    monkeypatch.setattr("epiword.trees.mediant", refuse_level)
+    checked = []
+    monkeypatch.setattr("epiword.trees.mediant", lambda a, b: checked.append((a, b)) or mediant(a, b))
     monkeypatch.setattr("epiword.trees._insert_mediants", refuse_level)
+    monkeypatch.setattr("epiword.trees._entries", refuse_level)
     got = frs(islice(diagonal(sb_level_stream(CLASSICAL_SEED), "L", 10**18), 3))
     assert got == ["572471677/203949877", "572471677/776421554", "572471677/1348893231"]
+    assert checked == [CLASSICAL_SEED]  # one mediant, of the seed pair, for its checks
     best, _ = best_of(3, lambda: list(islice(diagonal(sb_level_stream(SB_SEEDS[2]), "R", 100_000), 5)))
     assert best < 0.01
 
@@ -382,9 +386,12 @@ def test_diagonal_scans_levels_that_are_not_a_stream():
 
 
 def test_diagonal_of_a_mismatched_seed_is_an_error():
+    # A mixed seed and one of unequal lengths: the diagonal raises mediant's error, message and all.
     for seed in ((Fraction(0, 1), T((1, 2))), (T((1, 2)), T((1, 2, 3)))):
-        with pytest.raises(DimensionMismatchError):
-            next(diagonal(sb_level_stream(seed), "L", 3))
+        want = outcome(mediant, *seed)
+        assert want[0] is DimensionMismatchError
+        for k in (1, 3):
+            assert outcome(lambda: next(diagonal(sb_level_stream(seed), "L", k))) == want
 
 
 def test_l1_plus():
@@ -604,44 +611,94 @@ def test_node_word_guard_matches_the_mediant_rows(u_len, v_len, depth, slack):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: tree_levels(christoffel_tree(), 30),
-        lambda: tree_levels(epichristoffel_tree(T((1, 2, 4))), 10**12),
-        lambda: classify_factorizability(T((1, 2, 4)), 40),
+        (lambda: tree_levels(christoffel_tree(), 30), "tree of 2(3^31 - 1)/2 letters exceeds the budget"),
+        (lambda: tree_levels(epichristoffel_tree(T((1, 2, 4))), 10**12),
+         "tree of 7(3^1000000000001 - 1)/2 letters exceeds the budget"),
+        (lambda: classify_factorizability(T((1, 2, 4)), 40), "tree of 7(3^41 - 1)/2 letters exceeds the budget"),
+        (lambda: tree_levels(epichristoffel_tree(T((1, 2, 4))), 19), "tree of 12203745400 letters exceeds the budget"),
+        (lambda: stern_brocot_levels(CLASSICAL_SEED, 40), "tree of 2^40 - 1 entries exceeds the budget"),
+        (lambda: sb_sequence(CLASSICAL_SEED, 40), "tree of 2^40 - 1 entries exceeds the budget"),
     ],
-    ids=["christoffel-30", "epi-huge", "classify-40"],
+    ids=["christoffel-30", "epi-huge", "classify-40", "epi-1,2,4-19", "levels-40", "sequence-40"],
 )
-def test_over_budget_trees_are_refused_before_the_walk(monkeypatch, call):
+def test_over_budget_trees_are_refused_before_the_walk(monkeypatch, call, message):
     def refuse_walk(*args):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr("epiword.trees._preorder", refuse_walk)
+    monkeypatch.setattr("epiword.trees._row_columns", refuse_walk)
     elapsed, result = best_of(1, lambda: outcome(call))
-    assert result == OVER_BUDGET
-    assert elapsed < 0.1
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: tree_levels(christoffel_tree(), 27),
-        lambda: tree_levels(TreeNode(BINARY.word(""), BINARY.word("")), 10**12),
-        lambda: classify_factorizability(T((1, 1)), 27),
-    ],
-    ids=["christoffel-27", "empty-huge", "classify-27"],
-)
-def test_trees_over_the_node_budget_are_refused_before_the_walk(monkeypatch, call):
-    # Depth 27 passes the length guard (F(30) = 832,040 letters) but holds 2^28 - 1 nodes.
-    monkeypatch.setattr("epiword.trees._preorder", lambda *args: pytest.fail("the walk started"))
-    elapsed, result = best_of(1, lambda: outcome(call))
-    assert result[0] is WordLengthOverflow and result[1].endswith(" - 1 nodes exceeds the budget")
+    assert result == (WordLengthOverflow, message)
     assert elapsed < 0.01
 
 
-def test_node_budget_keeps_depth_19():
-    assert _check_node_words(1, 1, 19) is None  # 2^20 - 1 nodes
-    assert outcome(_check_node_words, 1, 1, 20) == (WordLengthOverflow, "tree of 2^21 - 1 nodes exceeds the budget")
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tree_levels(christoffel_tree(), 27), "tree of 2(3^28 - 1)/2 letters exceeds the budget"),
+        (lambda: tree_levels(TreeNode(BINARY.word(""), BINARY.word("")), 10**12),
+         "tree of 2^1000000000001 - 1 nodes exceeds the budget"),
+        (lambda: classify_factorizability(T((1, 1)), 27), "tree of 2(3^28 - 1)/2 letters exceeds the budget"),
+    ],
+    ids=["christoffel-27", "empty-huge", "classify-27"],
+)
+def test_trees_over_the_node_budget_are_refused_before_the_walk(monkeypatch, call, message):
+    # Depth 27 passes the length guard (F(30) = 832,040 letters); its 2^28 - 1 nodes are bounded by its letters.
+    monkeypatch.setattr("epiword.trees._preorder", lambda *args: pytest.fail("the walk started"))
+    elapsed, result = best_of(1, lambda: outcome(call))
+    assert result == (WordLengthOverflow, message)
+    assert elapsed < 0.01
+
+
+def test_a_level_stream_moved_past_the_entry_budget_refuses_its_next_level(monkeypatch):
+    monkeypatch.setattr("epiword.trees._row_columns", lambda *args: pytest.fail("the row was built"))
+    stream = sb_level_stream(CLASSICAL_SEED)
+    # Level 26 holds 2^25 entries, the last of them 26/1; each level down maps a/b to a/(a+b).
+    assert frs(islice(diagonal(stream, "L", 2**25), 3)) == ["26/1", "26/27", "26/53"]
+    assert outcome(next, stream) == (WordLengthOverflow, "tree of 2^29 - 1 entries exceeds the budget")
+    stream.advance_to(10**6)  # as a diagonal that far out leaves it
+    elapsed, result = best_of(1, lambda: outcome(next, stream))
+    assert result == (WordLengthOverflow, "tree of 2^1000000 - 1 entries exceeds the budget")
+    assert elapsed < 0.01
+
+
+def test_every_level_entry_point_keeps_the_entry_budget(monkeypatch):
+    # Levels 1..21 hold 2^21 - 1 entries, over MAX_SB_ENTRIES = 2^20 (20 levels fit); no row is built to say so.
+    monkeypatch.setattr("epiword.trees._row_columns", lambda *args: pytest.fail("the row was built"))
+    for call in (stern_brocot_levels, sb_sequence):
+        assert outcome(call, CLASSICAL_SEED, 21) == (WordLengthOverflow, "tree of 2^21 - 1 entries exceeds the budget")
+    stream = sb_level_stream(CLASSICAL_SEED)
+    stream.advance_to(21)
+    assert outcome(next, stream) == (WordLengthOverflow, "tree of 2^21 - 1 entries exceeds the budget")
+    # Levels 1..3 hold 7 entries: a budget of 7 gives them at every entry point, 6 refuses them.
+    monkeypatch.undo()
+    monkeypatch.setattr("epiword.trees.MAX_SB_ENTRIES", 7)
+    assert len(stern_brocot_levels(CLASSICAL_SEED, 3)) == len(list(islice(sb_level_stream(CLASSICAL_SEED), 3))) == 3
+    assert len(sb_sequence(CLASSICAL_SEED, 3)) == 9
+    monkeypatch.setattr("epiword.trees.MAX_SB_ENTRIES", 6)
+    for call in (stern_brocot_levels, sb_sequence):
+        assert outcome(call, CLASSICAL_SEED, 3) == (WordLengthOverflow, "tree of 2^3 - 1 entries exceeds the budget")
+    assert outcome(list, islice(sb_level_stream(CLASSICAL_SEED), 3))[0] is WordLengthOverflow
+
+
+def test_letter_budget_keeps_christoffel_depth_14_in_little_memory():
+    # 2(3^15 - 1)/2 = 14,348,906 letters fit MAX_TREE_LETTERS = 2^24; 43,046,720 at depth 15 do not.
+    tracemalloc.start()
+    try:
+        levels = tree_levels(christoffel_tree(), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, levels)) == 2**15 - 1
+    assert peak < 16_000_000, peak  # 12.1-12.7 MB measured
+    del levels
+    assert outcome(tree_levels, christoffel_tree(), 15) == (WordLengthOverflow, "tree of 43046720 letters exceeds the budget")
+    # Two empty words never grow; their tree stops where a one-letter root's does.
+    empty = TreeNode(BINARY.word(""), BINARY.word(""))
+    assert sum(map(len, tree_levels(empty, 14))) == 2**15 - 1
+    assert outcome(tree_levels, empty, 15) == (WordLengthOverflow, "tree of 2^16 - 1 nodes exceeds the budget")
 
 
 def counting_concatenations(monkeypatch) -> list:
