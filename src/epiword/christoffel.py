@@ -41,7 +41,7 @@ class PathLabel:
     """Exact label (i*a - j*b)/b of the lattice point (i, j) on the path.
 
     Stored as an integer numerator over the fixed denominator b, never as a
-    float: the split point is found by exact equality with 1/b.
+    float: the split point is the one label exactly equal to 1/b.
     """
 
     numerator: int
@@ -58,19 +58,25 @@ def _require_binary(alphabet: Alphabet) -> None:
 
 
 def christoffel_word(slope: Slope, alphabet: Alphabet = BINARY) -> Word:
-    """The Christoffel word of the given slope: length a+b, with b x's and a y's.
+    """The Christoffel word of the given slope: length a+b, with b x's and a y's."""
+    u, v = _christoffel_node(slope, alphabet)
+    return Word._trusted(u + v, alphabet)
 
-    It is the word u*v of the Christoffel tree node b*|x| + a*|y|, reached from
-    (x, y) by one concatenation per run of Euclid's algorithm on (b, a).
+
+def _christoffel_node(slope: Slope, alphabet: Alphabet) -> tuple[str, str]:
+    """Code strings of the slope's Christoffel tree node (u, v), the standard factorization of u*v (Borel-Laubie 1993).
+
+    The walk from (x, y) to b*|x| + a*|y| makes one concatenation per run of
+    Euclid's algorithm on (b, a). A degenerate slope gives one letter u, v empty.
     """
     _require_binary(alphabet)
     a, b = slope.a, slope.b
     if a + b > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {a + b} exceeds the budget")
     if a == 0 or b == 0:
-        return Word._trusted("\x00" if a == 0 else "\x01", alphabet)
+        return "\x00" if a == 0 else "\x01", ""
     _, u, v = _tree_walk("\x00", "\x01", b, a)
-    return Word._trusted(u + v, alphabet)
+    return u, v
 
 
 def _tree_walk(u: str, v: str, alpha: int, beta: int) -> tuple[list[tuple[str, int]], str, str]:
@@ -120,19 +126,15 @@ def path_labels(slope: Slope, alphabet: Alphabet = BINARY) -> list[PathLabel]:
 
 
 def standard_factorization(slope: Slope, alphabet: Alphabet = BINARY) -> tuple[Word, Word]:
-    """Split the Christoffel word at the unique interior point with label 1/b.
+    """Split the Christoffel word into its Christoffel tree node (u, v).
 
-    That point (i, j) solves i*a - j*b = 1, so i is the inverse of a mod b
-    (1 when b = 1) and it lies i + j letters into the word. Both factors are
+    The cut is the unique interior point with label 1/b. Both factors are
     themselves Christoffel words.
     """
     if slope.a == 0 or slope.b == 0:
         raise DegenerateSlopeError(f"slope {slope} has no interior split point")
-    a, b = slope.a, slope.b
-    i = pow(a, -1, b) if b > 1 else 1
-    cut = i + (i * a - 1) // b
-    word = christoffel_word(slope, alphabet)
-    return word[:cut], word[cut:]
+    u, v = _christoffel_node(slope, alphabet)
+    return Word._trusted(u, alphabet), Word._trusted(v, alphabet)
 
 
 def is_christoffel(w: Word) -> bool:

@@ -63,12 +63,20 @@ class TTrace:
 
     @cached_property
     def steps(self) -> tuple[TStep, ...]:
-        """The runs expanded into one step each, built on first use."""
+        """The runs expanded into one step each, built on first use; at most MAX_WORD_LENGTH of them."""
+        _check_trace_steps(self)
         steps = []
         for i, q, top, rest, left, right in _run_walk(self):
             tuples = [OccurrenceTuple((*left, top - j * rest, *right)) for j in range(q + 1)]
             steps.extend(TStep(tuples[j], i, tuples[j + 1]) for j in range(q))
         return tuple(steps)
+
+
+def _check_trace_steps(trace: TTrace) -> None:
+    """Refuse a trace of more than MAX_WORD_LENGTH steps, counted from its runs."""
+    steps = sum(q for _, q in trace.runs)
+    if steps > MAX_WORD_LENGTH:
+        raise WordLengthOverflow(f"trace of {steps} steps exceeds the budget")
 
 
 def _run_walk(trace: TTrace) -> Iterator[tuple[int, int, int, int, list[int], list[int]]]:
@@ -417,9 +425,7 @@ def _trace_pieces(trace: TTrace, symbols: str) -> Iterator[str]:
     a chunk of them is one %-format of the step repeated over a slice of that
     arithmetic progression. A symbol may be ``%``, so it is escaped; the entries are integers.
     """
-    steps = sum(q for _, q in trace.runs)
-    if steps > MAX_WORD_LENGTH:
-        raise WordLengthOverflow(f"trace of {steps} steps exceeds the budget")
+    _check_trace_steps(trace)
     yield str(trace.start)
     for i, q, top, rest, left, right in _run_walk(trace):
         head = f" ->{symbols[i]} (".replace("%", "%%") + "".join(f"{c}," for c in left)

@@ -22,21 +22,15 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .christoffel import _tree_walk
-from .epichristoffel import (
-    TieBreak,
-    _lyndon_image,
-    _outer_atoms,
-    construct,
-    epi_factorizations,
-    is_epichristoffel_word,
-)
+from .epichristoffel import TieBreak, _admitted, _lyndon_image, _outer_atoms
+from .epichristoffel import epi_factorizations, is_epichristoffel_word
 from .errors import (
     DimensionMismatchError,
     NotInTreeError,
     RootSelectionError,
     WordLengthOverflow,
 )
-from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, parikh
+from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code_counts, parikh
 
 Side = Literal["L", "R"]
 
@@ -293,25 +287,26 @@ def epichristoffel_tree(
     alphabet: Alphabet | None = None,
     tie_break: TieBreak = "recent",
 ) -> TreeNode:
-    """Root of the epichristoffel tree for an admissible tuple, from one construction.
+    """Root of the epichristoffel tree for an admissible tuple, from one reduction.
 
     The tuple's word w is cut after |u| or |v| letters of its split, whichever
     prefix equals the epichristoffel word of that part's tuple; exactly one does.
     """
-    built = construct(p, alphabet, tie_break)
-    runs, k = built.trace.runs, p.k
+    trace, alphabet = _admitted(p, alphabet, tie_break)
+    runs, k, terminal = trace.runs, p.k, trace.terminal
     outer = _outer_atoms(runs)
-    w = built.epi_word
+    w = _lyndon_image(runs, terminal, k)
+    assert _code_counts(w, k) == p, f"the Lyndon image lost counts for {p}"
     # A part is a letter image, so it lies in the epichristoffel class of its
     # own tuple (Paquin 2010), whose Lyndon word is the part's Lyndon image.
-    parts = (_lyndon_image(outer, letter, k) for letter in (runs[-1][0], built.terminal_letter))
-    matching_cuts = {len(part) for part in parts if w._code.startswith(part)}
+    parts = (_lyndon_image(outer, letter, k) for letter in (runs[-1][0], terminal))
+    matching_cuts = {len(part) for part in parts if w.startswith(part)}
     if len(matching_cuts) != 1:
         raise RootSelectionError(
             f"expected exactly one matching prefix for {p}, got cuts {sorted(matching_cuts)}"
         )
     cut = matching_cuts.pop()
-    return TreeNode(w[:cut], w[cut:])
+    return TreeNode(Word._trusted(w[:cut], alphabet), Word._trusted(w[cut:], alphabet))
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:

@@ -185,7 +185,7 @@ class OccurrenceTuple:
         return cls(counts)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.counts) + ")"
+        return "(" + ",".join(map(str, self.counts)) + ")"
 
 
 def parikh(w: Word) -> OccurrenceTuple:

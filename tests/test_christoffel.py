@@ -63,6 +63,12 @@ def test_word_respects_length_budget(monkeypatch):
     assert len(christoffel_word(Slope(3, 7))) == 10
     with pytest.raises(WordLengthOverflow):
         christoffel_word(Slope(4, 7))
+    u, v = standard_factorization(Slope(3, 7))
+    assert len(u) + len(v) == 10
+    with pytest.raises(WordLengthOverflow):
+        standard_factorization(Slope(4, 7))
+    with pytest.raises(NotBinaryError):
+        standard_factorization(Slope(3, 7), TERNARY)
 
 
 def test_word_matches_geometric_path_construction():
@@ -79,7 +85,13 @@ def test_word_matches_the_floor_oracle_for_every_slope_to_400():
 @given(st.integers(2, 10**5), st.data())
 def test_word_matches_the_floor_oracle_to_total_1e5(n, data):
     a = data.draw(st.integers(1, n - 1).filter(lambda a: gcd(a, n) == 1))
-    assert christoffel_word(Slope(a, n - a)) == naive_christoffel_word(a, n - a)
+    slope = Slope(a, n - a)
+    word = christoffel_word(slope)
+    assert word == naive_christoffel_word(a, n - a)
+    # A Christoffel word has one split into two Christoffel words, the standard one (Borel-Laubie).
+    u, v = standard_factorization(slope)
+    assert u + v == word
+    assert is_christoffel(u) and is_christoffel(v)
 
 
 def test_labels_examples():

@@ -144,6 +144,21 @@ def test_trace_over_the_step_budget_is_refused_before_rendering(monkeypatch):
         format_trace(admissibility(T((1, 4, 2))))
 
 
+def test_trace_steps_over_the_step_budget_are_refused_before_any_step(monkeypatch):
+    trace = admissibility(T((1, 1, 10**12)))
+    monkeypatch.setattr("epiword.epichristoffel.TStep", refuse_steps)
+    start = time.perf_counter()
+    with pytest.raises(WordLengthOverflow, match=r"^trace of 500000000001 steps exceeds the budget$"):
+        trace.steps
+    assert time.perf_counter() - start < 0.01
+    # (1,1,8) reduces in 5 steps and (1,1,10) in 6: a budget of 5 expands the first and refuses the second.
+    monkeypatch.undo()
+    monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 5)
+    assert len(admissibility(T((1, 1, 8))).steps) == 5
+    with pytest.raises(WordLengthOverflow, match=r"^trace of 6 steps exceeds the budget$"):
+        admissibility(T((1, 1, 10))).steps
+
+
 def test_construct_examples():
     r = construct(T((1, 4, 2)))
     assert (str(r.c_word), str(r.epi_word)) == ("yzyyzyx", "xyzyyzy")

@@ -20,9 +20,9 @@ from epiword import (
     TrivialTupleError,
     Word,
     WordLengthOverflow,
+    admissibility,
     christoffel_tree,
     classify_factorizability,
-    construct,
     diagonal,
     diagonal_sum_check,
     epichristoffel_tree,
@@ -503,16 +503,21 @@ def test_walk_costs_runs_not_steps(monkeypatch):
     assert len(word) == 400_003 and parikh(word) == target
 
 
-def test_tree_root_constructs_once(monkeypatch):
+def test_tree_root_reduces_once_and_constructs_nothing(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return construct(*args, **kwargs)
+        return admissibility(*args, **kwargs)
 
-    monkeypatch.setattr("epiword.trees.construct", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree root ran a construction")
+
+    monkeypatch.setattr("epiword.epichristoffel.admissibility", counting)
+    monkeypatch.setattr("epiword.epichristoffel.construct", refuse)
     assert str(epichristoffel_tree(T((1, 2, 4)))) == "(xzyz, zyz)"
     assert len(calls) == 1
+    assert not hasattr(trees, "construct")
 
 
 def test_tree_root_of_a_long_run_takes_milliseconds():
