@@ -117,8 +117,11 @@ def test_tuple_word_split_trace():
          "error: word of length 40000003 exceeds the budget\n"),
         # 85,512 admissible tuples, from 10.8 M compositions
         (("exists", "--length", "400", "--k", "4", "--max", "1"), 0, "0,0,1,399\n", ""),
+        # 50 M compositions: refused before the search
+        (("exists", "--length", "10000", "--k", "3"), 2, "",
+         "error: enumeration of C(10002, 2) compositions exceeds the budget\n"),
     ],
-    ids=["verdict", "word", "find", "find-long-run", "find-over-budget", "exists"],
+    ids=["verdict", "word", "find", "find-long-run", "find-over-budget", "exists", "exists-over-budget"],
 )
 def test_tuple_on_a_huge_total_finishes_within_two_seconds(args, code, stdout, stderr):
     start = time.perf_counter()

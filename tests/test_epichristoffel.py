@@ -12,6 +12,7 @@ from epiword import (
     Alphabet,
     BINARY,
     EmptyWordError,
+    EpiwordError,
     NotAdmissibleError,
     NotEpichristoffelError,
     OccurrenceTuple,
@@ -37,7 +38,7 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
-from epiword.epichristoffel import _TRACE_CHUNK, _lyndon_image, _outer_atoms, split_construction
+from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _lyndon_image, _outer_atoms, split_construction
 from epiword.morphisms import apply
 from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
 from strategies import grown_tuples, near_misses
@@ -360,6 +361,32 @@ def test_canonical_split_rejects_unit_tuples():
         canonical_split(T((0, 1, 0)))
 
 
+def outcome(call):
+    """The result of ``call``, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (EpiwordError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_canonical_split_matches_the_split_of_the_construction():
+    for k, max_total in ((2, 30), (3, 14), (4, 8)):
+        for p in all_tuples(k, max_total):
+            for rule in TIE_BREAKS:
+                expected = outcome(lambda: split_construction(construct(p, tie_break=rule)))
+                assert outcome(lambda: canonical_split(p, tie_break=rule)) == expected, (p, rule)
+
+
+def test_canonical_split_builds_no_construction(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the split built more than the c-word")
+
+    for name in ("construct", "_lyndon_image"):
+        monkeypatch.setattr(f"epiword.epichristoffel.{name}", fail)
+    s = canonical_split(T((1, 2, 4)))
+    assert (str(s.u), str(s.v), s.u_tuple, s.v_tuple) == ("zyz", "zyzx", T((0, 1, 2)), T((1, 1, 2)))
+
+
 def test_construct_preserves_counts_for_all_admissible_tuples():
     for p in all_tuples(3, 30):
         if not admissibility(p).admissible:
@@ -549,6 +576,63 @@ def test_enumeration_depth_does_not_grow_with_the_total():
     finally:
         sys.setrecursionlimit(limit)
     assert T((998, 1, 1)) in found and len(found) == 26_589
+
+
+def test_enumeration_settles_leaves_without_verdicts_or_tuples(monkeypatch):
+    expected = {(n, k): naive_tuples_of_length(n, k) for n, k in ((60, 3), (20, 5))}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an enumeration candidate was given a verdict, a trace or a tuple")
+
+    monkeypatch.setattr("epiword.epichristoffel.admissibility", fail)
+    monkeypatch.setattr("epiword.epichristoffel.TTrace", fail)
+    monkeypatch.setattr(OccurrenceTuple, "__post_init__", fail)
+    for (n, k), tuples in expected.items():
+        assert tuples_of_length(n, k) == tuples, (n, k)
+
+
+@pytest.mark.parametrize("n, k, count", [(2, 40, 780), (3, 12, 132)])
+def test_small_totals_over_many_letters_list_only_their_orderings(n, k, count):
+    # Every tuple orders one multiset, (1,1,0,...) or (2,1,0,...); listing k! orderings would never end.
+    start = time.perf_counter()
+    found = tuples_of_length(n, k)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == count
+    assert {tuple(sorted(p.counts, reverse=True)) for p in found} == {(n - 1, 1) + (0,) * (k - 2)}
+
+
+def test_tuples_of_length_count_at_total_2000():
+    assert len(tuples_of_length(2000, 3)) == 65_703
+
+
+# The largest total accepted per k: C(n+k-1, k-1) compositions at most 2^25.
+LARGEST_ACCEPTED_TOTALS = {3: 8190, 4: 584, 5: 165, 6: 80, 7: 50}
+
+
+def test_enumeration_budget_edges():
+    for k, n in LARGEST_ACCEPTED_TOTALS.items():
+        _check_compositions(n, k)
+        with pytest.raises(WordLengthOverflow, match=rf"^enumeration of C\({n + k}, {k - 1}\) compositions "):
+            _check_compositions(n + 1, k)
+
+
+def test_enumeration_over_the_budget_is_refused_before_the_search(monkeypatch):
+    # C(12, 2) = 66 compositions of 10 into 3 entries fit; the 78 of 11 do not.
+    monkeypatch.setattr("epiword.epichristoffel.MAX_COMPOSITIONS", 66)
+    assert tuples_of_length(10, 3) == naive_tuples_of_length(10, 3)
+    with pytest.raises(WordLengthOverflow, match=r"^enumeration of C\(13, 2\) compositions exceeds the budget$"):
+        tuples_of_length(11, 3)
+    monkeypatch.undo()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("epiword.epichristoffel._reduce", fail)
+    monkeypatch.setattr("epiword.epichristoffel._orderings", fail)
+    start = time.perf_counter()
+    with pytest.raises(WordLengthOverflow, match=r"^enumeration of C\(1000000000, 999999999\) compositions "):
+        tuples_of_length(1, 10**9)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_occurrence_tuple_parse():
