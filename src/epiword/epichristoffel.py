@@ -6,8 +6,7 @@ reaches a unit vector: a subtractive Euclid algorithm, run here by division.
 The q steps that reduce one index in a row are one run (i, q), found by one
 division, so a trace holds O(k log max) runs and expands its steps on demand.
 Each step is one ``Psi`` atom; the atoms map the letter left standing to the
-c-word. It is built from letter images as a string of code points: taking the
-runs outermost first, Psi_a^q sets img[c] = img[a]^q img[c] for c != a. Before
+c-word, built from the runs by the letter-image loop of ``morphisms``. Before
 the last atom, u = img[its letter] and v = img[terminal] are the canonical
 split, and the c-word is u*v; their letter counts follow from the runs alone,
 in O(k*runs). The epichristoffel word, the Lyndon conjugate of the c-word, is
@@ -21,12 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Literal, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterator, Literal, Sequence
 
 from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
 from .errors import TrivialTupleError, WordLengthOverflow
-from .morphisms import MorphismSeq, Psi
+from .morphisms import MorphismSeq, Psi, _images
 from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code_counts, default_alphabet
 
 TieBreak = Literal["recent", "smallest", "largest"]
@@ -95,11 +94,15 @@ class ConstructionResult:
     """A word realizing an admissible tuple, with its construction evidence."""
 
     c_word: Word
-    morphisms: MorphismSeq
     terminal_letter: int
     epi_word: Word
     rotation_offset: int
     trace: TTrace
+
+    @cached_property
+    def morphisms(self) -> MorphismSeq:
+        """One ``Psi`` atom per reduction step, keyed by the reduced index, built from the runs on first read."""
+        return MorphismSeq(tuple(chain.from_iterable(repeat(Psi(a), q) for a, q in self.trace.runs)))
 
 
 @dataclass(frozen=True)
@@ -204,24 +207,8 @@ def _outer_atoms(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     return (*outer, (last, q - 1)) if q > 1 else tuple(outer)
 
 
-def _image(runs: Sequence[tuple[int, int]], letter: int, k: int, prepend: Iterable[bool]) -> str:
-    """The image of ``letter`` under the runs' atoms, as a code string, with one flag per run in ``prepend``.
-
-    Taking the runs outermost first, Psi_a^n sets img[c] = img[a]^n img[c] and
-    Psi-bar_a^n sets img[c] = img[c] img[a]^n, for c != a; the flag picks Psi_a.
-    Both map a letter to words of the same length. By Justin's formula
-    Pal(wc) = Psi_w(c) Pal(w), no image under all atoms but the last is longer
-    than the word, and none under all atoms is longer than twice the word.
-    """
-    img = list(map(chr, range(k)))
-    for (a, n), front in zip(runs, prepend):
-        head = img[a] * n
-        img = [w if c == a else head + w if front else w + head for c, w in enumerate(img)]
-    return img[letter]
-
-
-def _split_counts(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> list[OccurrenceTuple]:
-    """Letter counts of u and v, in O(k*runs): the images' letters are never counted.
+def _cut(c_word: Word, runs: Sequence[tuple[int, int]], terminal: int) -> CanonicalSplit:
+    """The c-word cut after |u|, with the letter counts of u and v found in O(k*runs): no letter is counted.
 
     Taking the atoms before the last one innermost first, Psi_a^n maps each
     letter c != a to a^n c, so it adds n times the count of the other letters
@@ -230,12 +217,13 @@ def _split_counts(runs: Sequence[tuple[int, int]], terminal: int, k: int) -> lis
     atoms = _outer_atoms(runs)[::-1]
     parts = []
     for letter in (runs[-1][0], terminal):
-        counts = [0] * k
+        counts = [0] * c_word.alphabet.size
         counts[letter] = 1
         for a, n in atoms:
             counts[a] += n * (sum(counts) - counts[a])
         parts.append(OccurrenceTuple(tuple(counts)))
-    return parts
+    cut = parts[0].total()
+    return CanonicalSplit(c_word[:cut], c_word[cut:], *parts)
 
 
 def _lyndon_image(runs: Sequence[tuple[int, int]], letter: int, k: int) -> str:
@@ -255,7 +243,7 @@ def _lyndon_image(runs: Sequence[tuple[int, int]], letter: int, k: int) -> str:
     letters of runs j and further in, so m is a suffix minimum.
     """
     lows = list(accumulate(reversed([a for a, _ in runs]), min, initial=letter))[::-1]
-    return _image(runs, letter, k, [a == low for (a, _), low in zip(runs, lows)])
+    return _images(runs, [a == low for (a, _), low in zip(runs, lows)], [letter], [*map(chr, range(k))])[letter]
 
 
 def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[TTrace, Alphabet]:
@@ -275,7 +263,7 @@ def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak
 def _c_code(p: OccurrenceTuple, trace: TTrace) -> str:
     """The code of the c-word of admissible ``p``, the terminal letter's image under the runs' atoms, in O(n + k*runs)."""
     assert trace.terminal is not None
-    c = _image(trace.runs, trace.terminal, p.k, repeat(True))
+    c = _images(trace.runs, repeat(True), [trace.terminal], [*map(chr, range(p.k))])[trace.terminal]
     assert _code_counts(c, p.k) == p, f"construction lost counts for {p}"
     return c
 
@@ -285,25 +273,18 @@ def construct(
 ) -> ConstructionResult:
     """Build the word realizing an admissible tuple, and its Lyndon conjugate.
 
-    One ``Psi`` atom per reduction step, keyed by the reduced index; the word,
-    the terminal letter's image, is built from the trace's runs in O(n + k*runs).
-    The epichristoffel word, the unique Lyndon representative of the class, is
-    built from the same runs (``_lyndon_image``), and the offset of the rotation
-    that gives it is found by one substring search.
+    The word, the terminal letter's image under one ``Psi`` atom per reduction step, is built from the
+    trace's runs in O(n + k*runs); the atoms are listed only when ``morphisms`` is read. The epichristoffel
+    word, the unique Lyndon representative of the class, is built from the same runs (``_lyndon_image``),
+    and the offset of the rotation that gives it is found by one substring search. By Justin's formula
+    Pal(wc) = Psi_w(c) Pal(w), no letter image built is longer than twice the word, which the budget bounds.
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
-    psi = [Psi(a) for a in range(p.k)]
-    atoms: list[Psi] = []
-    for a, q in trace.runs:
-        atoms += [psi[a]] * q
-    terminal = trace.terminal
-    assert terminal is not None
     c = _c_code(p, trace)
-    epi = _lyndon_image(trace.runs, terminal, p.k)
+    epi = _lyndon_image(trace.runs, trace.terminal, p.k)
     offset = (c + c).find(epi)
     assert offset >= 0, f"the Lyndon image of {p} is not a rotation of its word"
-    epi_word = Word._trusted(epi, alphabet)
-    return ConstructionResult(Word._trusted(c, alphabet), MorphismSeq(tuple(atoms)), terminal, epi_word, offset, trace)
+    return ConstructionResult(Word._trusted(c, alphabet), trace.terminal, Word._trusted(epi, alphabet), offset, trace)
 
 
 def canonical_split(
@@ -322,13 +303,6 @@ def canonical_split(
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
     """The canonical split of a built construction, its letter images before the last atom: u*v cut after |u|."""
     return _cut(result.c_word, result.trace.runs, result.terminal_letter)
-
-
-def _cut(c_word: Word, runs: Sequence[tuple[int, int]], terminal: int) -> CanonicalSplit:
-    """The c-word cut after |u|, with both parts' letter counts from the runs (``_split_counts``)."""
-    u_tuple, v_tuple = _split_counts(runs, terminal, c_word.alphabet.size)
-    cut = u_tuple.total()
-    return CanonicalSplit(c_word[:cut], c_word[cut:], u_tuple, v_tuple)
 
 
 def _epichristoffel_code(w: Word) -> tuple[str, str | None]:

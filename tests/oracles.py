@@ -5,9 +5,9 @@ check: rotation minima by scanning every rotation or by Booth's scan,
 balance by comparing every factor pair, Christoffel words by enumerating
 lattice paths and filtering with the geometric definition or by one floor
 per letter, admissibility by one subtraction
-per reduction step, epichristoffel words by rewriting the whole word once
-per ``Psi`` atom, atom images by one list append per letter, Christoffel
-splits by scanning every path label, tree roots by building each part's
+per reduction step, epichristoffel words by applying one ``Psi`` atom per
+reduction step, atom images by one list append per letter and sequence
+images by a fold of those, Christoffel splits by scanning every path label, tree roots by building each part's
 word anew, the epichristoffel test by the
 least rotation of the word built for the letter counts, tree paths by one subtraction
 and one node per step, word-tree levels breadth first by ``left`` and
@@ -48,7 +48,6 @@ from epiword import (
 )
 from epiword.epichristoffel import split_construction
 from epiword.errors import AllZeroError, EmptyWordError, InvalidLetterError, NotInTreeError, RootSelectionError
-from epiword.morphisms import apply
 from epiword.trees import _solve_seed_combination
 
 
@@ -181,6 +180,21 @@ def naive_apply_atom(atom, w: Word) -> Word:
     return Word(tuple(out), w.alphabet)
 
 
+def naive_apply(atoms, w: Word, limit: int) -> Word | None:
+    """Image of ``w`` under a sequence, one ``naive_apply_atom`` per atom, innermost first; None past ``limit`` letters.
+
+    Every atom's letters are checked first, innermost first, on the empty word.
+    An atom never shortens a word, so the fold stops at the first image past the limit.
+    """
+    for atom in reversed(atoms):
+        naive_apply_atom(atom, Word((), w.alphabet))
+    for atom in reversed(atoms):
+        if len(w) > limit:
+            return None
+        w = naive_apply_atom(atom, w)
+    return None if len(w) > limit else w
+
+
 @dataclass(frozen=True)
 class NaiveTrace:
     start: OccurrenceTuple
@@ -250,27 +264,27 @@ def naive_admissibility(p: OccurrenceTuple, tie_break: str = "recent") -> NaiveT
 
 def naive_construct(
     p: OccurrenceTuple, tie_break: str = "recent"
-) -> tuple[ConstructionResult, CanonicalSplit | None]:
-    """Construction and canonical split of an admissible tuple, one atom at a time.
+) -> tuple[ConstructionResult, MorphismSeq, CanonicalSplit | None]:
+    """Construction, its atoms and canonical split of an admissible tuple, one atom per reduction step.
 
-    The atoms, applied innermost first, each rewrite the whole word, which is
-    quadratic in its length on long runs. The split applies all atoms but the
-    innermost to that atom's letter and to the terminal letter; unit tuples
-    have none.
+    The word is the terminal letter's image under the atoms, one ``Psi`` per
+    step of the trace, applied one letter at a time by ``naive_apply``. The
+    split applies all atoms but the innermost to that atom's letter and to the
+    terminal letter; unit tuples have none.
     """
     trace = admissibility(p, tie_break)
     assert trace.terminal is not None, f"{p} is not admissible"
     alphabet = default_alphabet(p.k)
     morphisms = MorphismSeq(tuple(Psi(step.index) for step in trace.steps))
-    c_word = apply(morphisms, Word((trace.terminal,), alphabet))
+    c_word = naive_apply(morphisms.atoms, Word((trace.terminal,), alphabet), p.total())
     epi_word, offset = least_rotation(c_word)
-    result = ConstructionResult(c_word, morphisms, trace.terminal, epi_word, offset, trace)
+    result = ConstructionResult(c_word, trace.terminal, epi_word, offset, trace)
     if not morphisms.atoms:
-        return result, None
+        return result, morphisms, None
     prefix, last = morphisms.atoms[:-1], morphisms.atoms[-1]
-    u = apply(prefix, Word((last.letter,), alphabet))
-    v = apply(prefix, Word((trace.terminal,), alphabet))
-    return result, CanonicalSplit(u, v, parikh(u), parikh(v))
+    u = naive_apply(prefix, Word((last.letter,), alphabet), p.total())
+    v = naive_apply(prefix, Word((trace.terminal,), alphabet), p.total())
+    return result, morphisms, CanonicalSplit(u, v, parikh(u), parikh(v))
 
 
 def naive_standard_factorization(slope: Slope, alphabet=BINARY) -> tuple[Word, Word]:

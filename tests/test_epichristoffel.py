@@ -42,6 +42,7 @@ from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _lyndon_im
 from epiword.morphisms import apply
 from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
 from strategies import grown_tuples, near_misses
+from timing import best_of
 
 T = OccurrenceTuple
 TIE_BREAKS = ("recent", "smallest", "largest")
@@ -181,6 +182,19 @@ def test_construct_replays_through_the_morphism_sequence():
         assert is_lyndon(r.epi_word)
 
 
+def test_construct_lists_its_atoms_only_when_read():
+    p = T((1, 1, 64_000))
+    assert "morphisms" not in construct(p).__dict__  # a cached_property keeps its value there once read
+
+    def replay():
+        r = construct(p)
+        return r, apply(r.morphisms, TERNARY.word(TERNARY.symbols[r.terminal_letter]))
+
+    seconds, (r, w) = best_of(3, replay)
+    assert len(r.morphisms) == 32_001 and w == r.c_word
+    assert seconds < 0.1, seconds
+
+
 def test_construct_rejects_inadmissible_tuples():
     with pytest.raises(NotAdmissibleError):
         construct(T((2, 3, 7)))
@@ -196,9 +210,10 @@ def test_construct_respects_length_budget(monkeypatch):
 @given(grown_tuples())
 def test_construct_and_split_match_the_per_atom_oracle(p):
     for rule in TIE_BREAKS:
-        expected, expected_split = naive_construct(p, rule)
+        expected, expected_atoms, expected_split = naive_construct(p, rule)
         r = construct(p, tie_break=rule)
         assert r == expected
+        assert r.morphisms == expected_atoms  # not a field, so not compared above
         if expected_split is None:
             with pytest.raises(TrivialTupleError):
                 split_construction(r)

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +23,10 @@ from epiword import (
     parikh,
     parse_morphisms,
 )
-from epiword.morphisms import apply
-from oracles import naive_apply_atom
+from epiword.morphisms import _images, apply
+from oracles import naive_apply
 from strategies import WIDE_ALPHABET
+from timing import best_of
 
 ternary_words = st.lists(st.integers(0, 2), max_size=10).map(lambda ls: Word(tuple(ls), TERNARY))
 letters = st.integers(0, 2)
@@ -108,27 +112,74 @@ def test_apply_respects_length_budget(monkeypatch):
     monkeypatch.setattr("epiword.morphisms.MAX_WORD_LENGTH", 16)
     with pytest.raises(WordLengthOverflow):
         apply([Psi(0)] * 10, TERNARY.word("yz"))
+    # x and x^14 y fit, though |w| times the longer image is 30 letters; one more atom does not.
+    assert str(apply([Psi(0)] * 14, TERNARY.word("xy"))) == "x" * 15 + "y"
+    with pytest.raises(WordLengthOverflow):
+        apply([Psi(0)] * 15, TERNARY.word("xy"))
 
 
 @st.composite
 def atoms_on_words(draw):
-    """An atom and a word over 2-8 letters or over 300; an atom letter may lie one step outside the alphabet."""
+    """A single atom, or runs of equal atoms of every kind with powers 1-50, and a word over 2-8 letters or over 300.
+
+    Run letters may miss the word, and one run in eight draws its letters from one step past either end of
+    the alphabet too; Theta runs have odd and even lengths.
+    """
     alphabet = draw(st.sampled_from([default_alphabet(k) for k in range(2, 9)] + [WIDE_ALPHABET]))
-    word = Word(tuple(draw(st.lists(st.integers(0, alphabet.size - 1), max_size=40))), alphabet)
-    a, b = draw(st.lists(st.integers(-1, alphabet.size), min_size=2, max_size=2, unique=True))
-    atom = draw(st.sampled_from((Psi(a), PsiBar(a), Theta(a, b))))
-    return atom, word
+    k = alphabet.size
+    word = Word(tuple(draw(st.lists(st.integers(0, k - 1), max_size=40))), alphabet)
+    atoms = []
+    for _ in range(draw(st.integers(0, 6))):
+        letters = st.integers(-1, k) if draw(st.integers(0, 7)) == 0 else st.integers(0, k - 1)
+        a, b = draw(st.lists(letters, min_size=2, max_size=2, unique=True))
+        atoms += [draw(st.sampled_from((Psi(a), PsiBar(a), Theta(a, b))))] * draw(st.integers(1, 50))
+    return draw(st.sampled_from((atoms, atoms[:1]))), word
 
 
-@settings(max_examples=300)
-@given(atoms_on_words())
-def test_atoms_match_the_per_letter_oracle(case):
-    atom, w = case
+@settings(max_examples=300, deadline=None)
+@given(atoms_on_words(), st.integers(0, 5000))
+def test_atoms_match_the_per_letter_oracle(case, limit):
+    atoms, w = case
+    calls = [lambda: apply(atoms, w)] + ([lambda: apply_atom(atoms[0], w)] if len(atoms) == 1 else [])
     try:
-        want = naive_apply_atom(atom, w)
+        want = naive_apply(atoms, w, limit)
     except InvalidLetterError as exc:
-        with pytest.raises(InvalidLetterError) as info:
-            apply_atom(atom, w)
-        assert str(info.value) == str(exc)
+        for call in calls:
+            with pytest.raises(InvalidLetterError) as info:
+                call()
+            assert str(info.value) == str(exc)
         return
-    assert apply_atom(atom, w) == want
+    for budget in [limit] + ([len(want), len(want) - 1] if want else []):  # and both sides of the output's length
+        with patch("epiword.morphisms.MAX_WORD_LENGTH", budget):
+            for call in calls:
+                if want is None or len(want) > budget:
+                    with pytest.raises(WordLengthOverflow, match=f"image longer than {budget} letters"):
+                        call()
+                else:
+                    assert call() == want
+
+
+def test_long_runs_cost_about_their_output():
+    # One pass per run of equal atoms, not one rewrite of the whole word per atom.
+    assert str(naive_apply([Psi(2)] * 50 + [Psi(1)], TERNARY.word("x"), 10**6)) == "z" * 50 + "y" + "z" * 50 + "x"
+    atoms = [Psi(2)] * 16_000 + [Psi(1)]
+    seconds, w = best_of(3, lambda: apply(atoms, TERNARY.word("x")))
+    assert str(w) == "z" * 16_000 + "y" + "z" * 16_000 + "x"
+    assert seconds < 0.05, seconds
+
+
+def test_images_nothing_reads_are_never_built():
+    # y's image is read by the first run only and z's by the second, so each is dropped after it.
+    assert _images([(1, 3), (2, 2)], [True, False], [0], ["x", "y", "z"]) == ["yyyx" + "yyyz" * 2, None, None]
+    # Under Psi_x^20000 only x's image is read, so y's, which would be 400 M letters long, is not built.
+    atoms = [Psi(1)] * 20_000 + [Psi(0)] * 20_000
+    seconds, w = best_of(3, lambda: apply(atoms, BINARY.word("x")))
+    assert str(w) == "y" * 20_000 + "x"
+    assert seconds < 0.05, seconds
+    tracemalloc.start()
+    try:
+        apply(atoms, BINARY.word("x"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
