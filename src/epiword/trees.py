@@ -552,10 +552,10 @@ class NodeClassification:
 class FactorizabilityReport:
     """Per-node witness of whether both factors are epichristoffel words.
 
-    When the root's right factor is not an epichristoffel word, the words
-    along the rightmost spine are additionally checked for having no
-    two-factor epichristoffel cut at all; ``right_spine_unfactorizable``
-    stays None otherwise.
+    Only the root's u and v are tested: off the left spine a node's u is an ancestor's node word uv, off the right
+    spine so is its v, and node words are epichristoffel words (criterion 04). When the root's v is not one, the
+    words along the rightmost spine are checked for having no two-factor epichristoffel cut at all, one quadratic
+    scan of cuts per word; ``right_spine_unfactorizable`` stays None otherwise.
     """
 
     root: TreeNode
@@ -573,19 +573,21 @@ def classify_factorizability(
     depth: int,
     alphabet: Alphabet | None = None,
 ) -> FactorizabilityReport:
-    """Classify every node to ``depth`` and probe the rightmost spine."""
+    """Classify every node to ``depth`` from two word tests at the root, and probe the rightmost spine.
+
+    Node i of its level has an epichristoffel u if i > 0 or the root's u is one, and an epichristoffel v if it is
+    not the level's last node or the root's v is one; building the levels costs more than the verdicts.
+    """
     root = epichristoffel_tree(root_tuple, alphabet)
     levels = tree_levels(root, depth)
+    u_epi, v_epi = is_epichristoffel_word(root.u), is_epichristoffel_word(root.v)
     entries = tuple(
-        NodeClassification(node, is_epichristoffel_word(node.u), is_epichristoffel_word(node.v))
+        NodeClassification(node, u_epi or i > 0, v_epi or i < len(level) - 1)
         for level in levels
-        for node in level
+        for i, node in enumerate(level)
     )
     spine_words = tuple(level[-1].word for level in levels)
-    if entries[0].v_epichristoffel:
-        spine_free = None
-    else:
-        spine_free = all(epi_factorizations(word) == [] for word in spine_words)
+    spine_free = None if v_epi else all(epi_factorizations(word) == [] for word in spine_words)
     return FactorizabilityReport(root, entries, spine_words, spine_free)
 
 

@@ -169,12 +169,6 @@ class OccurrenceTuple:
             raise ValueError("tuples have different lengths")
         return OccurrenceTuple(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
-    def unit_index(self) -> int | None:
-        """Index m when this tuple is the unit vector e_m, else None."""
-        if sum(self.counts) == 1 and all(c in (0, 1) for c in self.counts):
-            return self.counts.index(1)
-        return None
-
     @classmethod
     def parse(cls, text: str) -> "OccurrenceTuple":
         """Parse comma syntax such as ``"1,2,4"``."""

@@ -11,7 +11,8 @@ images by a fold of those, Christoffel splits by scanning every path label, tree
 word anew, the epichristoffel test by the
 least rotation of the word built for the letter counts, tree paths by one subtraction
 and one node per step, word-tree levels breadth first by ``left`` and
-``right`` on each node, admissible tuples by reducing every composition,
+``right`` on each node, factorizability by both word tests on every node,
+admissible tuples by reducing every composition,
 mediant rows by one ``mediant`` call per neighbouring pair, Stern-Brocot
 diagonals by reading each level of those rows in turn, the longest node word
 of a word tree by the largest entry of the whole mediant row of its lengths,
@@ -41,14 +42,18 @@ from epiword import (
     christoffel_word,
     construct,
     default_alphabet,
+    epi_factorizations,
+    epichristoffel_tree,
+    is_epichristoffel_word,
     least_rotation,
     mediant,
     parikh,
     path_labels,
+    tree_levels,
 )
 from epiword.epichristoffel import split_construction
 from epiword.errors import AllZeroError, EmptyWordError, InvalidLetterError, NotInTreeError, RootSelectionError
-from epiword.trees import _solve_seed_combination
+from epiword.trees import FactorizabilityReport, NodeClassification, _solve_seed_combination
 
 
 def naive_least_rotation(w: Word) -> tuple[Word, int]:
@@ -368,6 +373,23 @@ def naive_tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
     for _ in range(depth):
         levels.append([child for node in levels[-1] for child in (node.left(), node.right())])
     return levels
+
+
+def naive_classify_factorizability(root_tuple: OccurrenceTuple, depth: int, alphabet=None) -> FactorizabilityReport:
+    """Report from ``is_epichristoffel_word`` on the u and the v of every node, with the same right-spine probe."""
+    root = epichristoffel_tree(root_tuple, alphabet)
+    levels = tree_levels(root, depth)
+    entries = tuple(
+        NodeClassification(node, is_epichristoffel_word(node.u), is_epichristoffel_word(node.v))
+        for level in levels
+        for node in level
+    )
+    spine_words = tuple(level[-1].word for level in levels)
+    if entries[0].v_epichristoffel:
+        spine_free = None
+    else:
+        spine_free = all(epi_factorizations(word) == [] for word in spine_words)
+    return FactorizabilityReport(root, entries, spine_words, spine_free)
 
 
 def _compositions(total: int, parts: int, minimum: int):

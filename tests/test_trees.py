@@ -4,7 +4,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epiword import (
@@ -42,6 +42,7 @@ from epiword import (
 from epiword import trees
 from epiword.trees import TreeNode, _check_node_words, _walk_to_tuple, sb_sequence
 from oracles import (
+    naive_classify_factorizability,
     naive_epichristoffel_tree,
     naive_insert_mediants,
     naive_longest_node_word,
@@ -231,12 +232,17 @@ def test_epichristoffel_tree_figure_nodes_to_depth_2():
     ]
 
 
-def test_epichristoffel_tree_nodes_are_epichristoffel_words():
-    for counts in ((1, 2, 4), (3, 2, 1)):
-        for level in tree_levels(epichristoffel_tree(T(counts)), 4):
-            for node in level:
-                assert node.u < node.v
-                assert is_epichristoffel_word(node.word)
+@settings(max_examples=40, deadline=None)
+@given(grown_tuples(), st.integers(0, 5))
+@example(T((1, 2, 4)), 5)
+@example(T((3, 2, 1)), 5)
+def test_epichristoffel_tree_nodes_are_epichristoffel_words(p, depth):
+    # classify_factorizability rests on this: off a spine, a node's u or v is an ancestor's node word.
+    assume(sum(p.counts) >= 2)  # a unit vector has no split
+    for level in tree_levels(epichristoffel_tree(p), depth):
+        for node in level:
+            assert node.u < node.v
+            assert is_epichristoffel_word(node.word)
 
 
 def test_node_tuples_follow_the_seed_combination():
@@ -559,6 +565,41 @@ def test_classify_factorizability_all_factorizable():
     classical = classify_factorizability(T((1, 1)), 3, BINARY)
     assert classical.all_factorizable
     assert str(classical.root) == "(x, y)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(grown_tuples(400) | near_misses(400), st.integers(0, 5))
+@example(T((1, 2, 4)), 5)  # the root's v is not epichristoffel, so the right spine is probed
+@example(T((3, 2, 1)), 5)
+def test_factorizability_matches_the_per_node_oracle(p, depth):
+    # Totals stay small because both sides scan every cut of each right-spine word when the root's v fails.
+    assert outcome(classify_factorizability, p, depth) == outcome(naive_classify_factorizability, p, depth)
+
+
+def test_factorizability_matches_the_per_node_oracle_on_deep_trees():
+    for counts, depth in (((1, 2, 4), 12), ((3, 2, 1), 12), ((2, 3, 5), 11), ((1, 2, 40), 10)):
+        report = classify_factorizability(T(counts), depth)
+        assert len(report.nodes) == 2 ** (depth + 1) - 1
+        assert report == naive_classify_factorizability(T(counts), depth)
+
+
+def test_factorizability_tests_two_words_per_report(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return is_epichristoffel_word(w)
+
+    monkeypatch.setattr("epiword.trees.is_epichristoffel_word", counting)
+    report = classify_factorizability(T((1, 2, 4)), 12)
+    assert len(report.nodes) == 8191
+    assert calls == [report.root.u, report.root.v]  # testing both parts of every node made 16,382
+
+
+def test_factorizability_to_depth_12_takes_under_a_tenth_of_a_second():
+    best, report = best_of(3, lambda: classify_factorizability(T((1, 2, 4)), 12))
+    assert best < 0.1  # testing both parts of every node took 0.4-0.7 s
+    assert report.right_spine_unfactorizable is True
 
 
 def test_tree_children_respect_length_budget(monkeypatch):
