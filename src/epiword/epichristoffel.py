@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Iterator, Literal, Sequence
+from typing import Collection, Iterator, Literal, Sequence
 
 from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
 from .errors import TrivialTupleError, WordLengthOverflow
@@ -226,11 +226,11 @@ def _cut(c_word: Word, runs: Sequence[tuple[int, int]], terminal: int) -> Canoni
     return CanonicalSplit(c_word[:cut], c_word[cut:], *parts)
 
 
-def _lyndon_image(runs: Sequence[tuple[int, int]], letter: int, k: int) -> str:
-    """The least conjugate of the image of ``letter`` under the runs' atoms, as a code string.
+def _lyndon_images(runs: Sequence[tuple[int, int]], letters: Collection[int], k: int) -> list:
+    """Images of the distinct ``letters`` under the runs' atoms, as code strings; the least letter's is its Lyndon word.
 
     Psi_a (c -> ac) and Psi-bar_a (c -> ca) map every word to conjugate words,
-    so applying each run as either one gives a conjugate of the c-word. Both
+    so applying each run as either one gives a conjugate of the image. Both
     keep the lexicographic order of infinite words: the images of letters
     b < c, each followed by more images, first differ at two letters in the
     order of b and c. Take the runs innermost first, with x the inner word and
@@ -239,11 +239,12 @@ def _lyndon_image(runs: Sequence[tuple[int, int]], letter: int, k: int) -> str:
     When m = a, every a starts an image under Psi_a; otherwise every m starts
     an image under Psi-bar_a. Either way that conjugate starts at an image
     boundary, so it is the image of the least conjugate of x: Psi_a(L) or
-    Psi-bar_a(L). The letters of the word inside run j are ``letter`` and the
-    letters of runs j and further in, so m is a suffix minimum.
+    Psi-bar_a(L). The letters of the word inside run j are the least of
+    ``letters`` and the letters of runs j and further in, so m is a suffix
+    minimum; the other letters' images are taken under the same atoms.
     """
-    lows = list(accumulate(reversed([a for a, _ in runs]), min, initial=letter))[::-1]
-    return _images(runs, [a == low for (a, _), low in zip(runs, lows)], [letter], [*map(chr, range(k))])[letter]
+    lows = list(accumulate(reversed([a for a, _ in runs]), min, initial=min(letters)))[::-1]
+    return _images(runs, [a == low for (a, _), low in zip(runs, lows)], letters, [*map(chr, range(k))])
 
 
 def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[TTrace, Alphabet]:
@@ -275,13 +276,13 @@ def construct(
 
     The word, the terminal letter's image under one ``Psi`` atom per reduction step, is built from the
     trace's runs in O(n + k*runs); the atoms are listed only when ``morphisms`` is read. The epichristoffel
-    word, the unique Lyndon representative of the class, is built from the same runs (``_lyndon_image``),
+    word, the unique Lyndon representative of the class, is built from the same runs (``_lyndon_images``),
     and the offset of the rotation that gives it is found by one substring search. By Justin's formula
     Pal(wc) = Psi_w(c) Pal(w), no letter image built is longer than twice the word, which the budget bounds.
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
     c = _c_code(p, trace)
-    epi = _lyndon_image(trace.runs, trace.terminal, p.k)
+    epi = _lyndon_images(trace.runs, [trace.terminal], p.k)[trace.terminal]
     offset = (c + c).find(epi)
     assert offset >= 0, f"the Lyndon image of {p} is not a rotation of its word"
     return ConstructionResult(Word._trusted(c, alphabet), trace.terminal, Word._trusted(epi, alphabet), offset, trace)
@@ -319,7 +320,7 @@ def _epichristoffel_code(w: Word) -> tuple[str, str | None]:
     except NotAdmissibleError:
         return s, None
     assert trace.terminal is not None
-    return s, _lyndon_image(trace.runs, trace.terminal, w.alphabet.size)
+    return s, _lyndon_images(trace.runs, [trace.terminal], w.alphabet.size)[trace.terminal]
 
 
 def is_epichristoffel_word(w: Word) -> bool:

@@ -22,15 +22,10 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .christoffel import _tree_walk
-from .epichristoffel import TieBreak, _admitted, _lyndon_image, _outer_atoms
+from .epichristoffel import TieBreak, _admitted, _lyndon_images, _outer_atoms
 from .epichristoffel import epi_factorizations, is_epichristoffel_word
-from .errors import (
-    DimensionMismatchError,
-    NotInTreeError,
-    RootSelectionError,
-    WordLengthOverflow,
-)
-from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, _code_counts, parikh
+from .errors import DimensionMismatchError, NotInTreeError, WordLengthOverflow
+from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, parikh
 
 Side = Literal["L", "R"]
 
@@ -287,26 +282,19 @@ def epichristoffel_tree(
     alphabet: Alphabet | None = None,
     tie_break: TieBreak = "recent",
 ) -> TreeNode:
-    """Root of the epichristoffel tree for an admissible tuple, from one reduction.
+    """Root of the epichristoffel tree for an admissible tuple, from one reduction and one image pass.
 
-    The tuple's word w is cut after |u| or |v| letters of its split, whichever
-    prefix equals the epichristoffel word of that part's tuple; exactly one does.
+    With a the innermost run's letter and t the terminal letter, low = min(a, t) and high = max(a, t), the root
+    is (Phi(low), Phi(high)), Phi the runs without the innermost atom, applied as the Lyndon image of low applies
+    them. Under those atoms the innermost one maps t to low*high, so Phi(low)Phi(high) is the tuple's
+    epichristoffel word, and it is cut where its prefix is the epichristoffel word of that part's tuple: a part
+    is a letter image, so it lies in its own tuple's class (Paquin 2010), whose Lyndon word is Phi(low).
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
-    runs, k, terminal = trace.runs, p.k, trace.terminal
-    outer = _outer_atoms(runs)
-    w = _lyndon_image(runs, terminal, k)
-    assert _code_counts(w, k) == p, f"the Lyndon image lost counts for {p}"
-    # A part is a letter image, so it lies in the epichristoffel class of its
-    # own tuple (Paquin 2010), whose Lyndon word is the part's Lyndon image.
-    parts = (_lyndon_image(outer, letter, k) for letter in (runs[-1][0], terminal))
-    matching_cuts = {len(part) for part in parts if w.startswith(part)}
-    if len(matching_cuts) != 1:
-        raise RootSelectionError(
-            f"expected exactly one matching prefix for {p}, got cuts {sorted(matching_cuts)}"
-        )
-    cut = matching_cuts.pop()
-    return TreeNode(Word._trusted(w[:cut], alphabet), Word._trusted(w[cut:], alphabet))
+    outer = _outer_atoms(trace.runs)  # a unit tuple has no split: refused before its runs are read
+    low, high = sorted((trace.runs[-1][0], trace.terminal))
+    img = _lyndon_images(outer, (low, high), p.k)
+    return TreeNode(Word._trusted(img[low], alphabet), Word._trusted(img[high], alphabet))
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
@@ -552,10 +540,11 @@ class NodeClassification:
 class FactorizabilityReport:
     """Per-node witness of whether both factors are epichristoffel words.
 
-    Only the root's u and v are tested: off the left spine a node's u is an ancestor's node word uv, off the right
-    spine so is its v, and node words are epichristoffel words (criterion 04). When the root's v is not one, the
-    words along the rightmost spine are checked for having no two-factor epichristoffel cut at all, one quadratic
-    scan of cuts per word; ``right_spine_unfactorizable`` stays None otherwise.
+    Only the root's v is tested. The root's u is the epichristoffel word of its tuple (``epichristoffel_tree``);
+    off the left spine a node's u is an ancestor's node word uv, off the right spine so is its v, and node words
+    are epichristoffel words (criterion 04). So every u is one. When the root's v is not one, the words along the
+    rightmost spine are checked for having no two-factor epichristoffel cut at all, one quadratic scan of cuts per
+    word; ``right_spine_unfactorizable`` stays None otherwise.
     """
 
     root: TreeNode
@@ -573,16 +562,16 @@ def classify_factorizability(
     depth: int,
     alphabet: Alphabet | None = None,
 ) -> FactorizabilityReport:
-    """Classify every node to ``depth`` from two word tests at the root, and probe the rightmost spine.
+    """Classify every node to ``depth`` from one word test, on the root's v, and probe the rightmost spine.
 
-    Node i of its level has an epichristoffel u if i > 0 or the root's u is one, and an epichristoffel v if it is
-    not the level's last node or the root's v is one; building the levels costs more than the verdicts.
+    Every node has an epichristoffel u (``FactorizabilityReport``), and node i of its level an epichristoffel v
+    if it is not the level's last node or the root's v is one; building the levels costs more than the verdicts.
     """
     root = epichristoffel_tree(root_tuple, alphabet)
     levels = tree_levels(root, depth)
-    u_epi, v_epi = is_epichristoffel_word(root.u), is_epichristoffel_word(root.v)
+    v_epi = is_epichristoffel_word(root.v)
     entries = tuple(
-        NodeClassification(node, u_epi or i > 0, v_epi or i < len(level) - 1)
+        NodeClassification(node, True, v_epi or i < len(level) - 1)
         for level in levels
         for i, node in enumerate(level)
     )

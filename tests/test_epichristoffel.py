@@ -38,7 +38,7 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
-from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _lyndon_image, _outer_atoms, split_construction
+from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _lyndon_images, _outer_atoms, split_construction
 from epiword.morphisms import apply
 from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
 from strategies import grown_tuples, near_misses
@@ -396,7 +396,7 @@ def test_canonical_split_builds_no_construction(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the split built more than the c-word")
 
-    for name in ("construct", "_lyndon_image"):
+    for name in ("construct", "_lyndon_images"):
         monkeypatch.setattr(f"epiword.epichristoffel.{name}", fail)
     s = canonical_split(T((1, 2, 4)))
     assert (str(s.u), str(s.v), s.u_tuple, s.v_tuple) == ("zyz", "zyzx", T((0, 1, 2)), T((1, 1, 2)))
@@ -445,14 +445,16 @@ def test_is_c_epichristoffel_examples():
 
 
 def check_lyndon_words(p, rule):
-    """The word's Lyndon conjugate and offset, and both split parts' Lyndon images, against the rotation search."""
+    """The word's Lyndon conjugate and offset, and the tree root's image pass, against the rotation search."""
     r = construct(p, tie_break=rule)
     assert (r.epi_word, r.rotation_offset) == least_rotation(r.c_word), (p, rule)
-    if r.trace.runs:  # the tree roots' prefix test reads the parts' images
+    if r.trace.runs:  # the tree root is (img[low], img[high]), read off one pass over the split's outer runs
         s = split_construction(r)
-        outer, last = _outer_atoms(r.trace.runs), r.trace.runs[-1][0]
-        for letter, part in ((last, s.u), (r.terminal_letter, s.v)):
-            assert _lyndon_image(outer, letter, p.k) == least_rotation(part)[0]._code, (p, rule)
+        last = r.trace.runs[-1][0]
+        low, high = sorted((last, r.terminal_letter))
+        img = _lyndon_images(_outer_atoms(r.trace.runs), (low, high), p.k)
+        assert img[low] + img[high] == r.epi_word._code, (p, rule)
+        assert img[low] == least_rotation(s.u if low == last else s.v)[0]._code, (p, rule)
 
 
 @settings(max_examples=100, deadline=None)

@@ -40,6 +40,7 @@ from epiword import (
     tree_levels,
 )
 from epiword import trees
+from epiword.morphisms import _images
 from epiword.trees import TreeNode, _check_node_words, _walk_to_tuple, sb_sequence
 from oracles import (
     naive_classify_factorizability,
@@ -463,8 +464,8 @@ def outcome(f, *args, **kwargs):
         return type(e), str(e)
 
 
-@settings(max_examples=60, deadline=None)
-@given(grown_tuples(10**4) | near_misses())
+@settings(max_examples=150, deadline=None)
+@given(grown_tuples(10**5) | near_misses())
 def test_roots_match_the_oracle_that_constructs_each_part(p):
     for rule in TIE_BREAKS:
         assert outcome(epichristoffel_tree, p, tie_break=rule) == outcome(
@@ -512,18 +513,27 @@ def test_walk_costs_runs_not_steps(monkeypatch):
 def test_tree_root_reduces_once_and_constructs_nothing(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return admissibility(*args, **kwargs)
+    def counting(real):
+        def count(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return count
 
     def refuse(*args, **kwargs):
         raise AssertionError("the tree root ran a construction")
 
-    monkeypatch.setattr("epiword.epichristoffel.admissibility", counting)
+    monkeypatch.setattr("epiword.epichristoffel.admissibility", counting(admissibility))
+    monkeypatch.setattr("epiword.epichristoffel._images", counting(_images))
     monkeypatch.setattr("epiword.epichristoffel.construct", refuse)
     assert str(epichristoffel_tree(T((1, 2, 4)))) == "(xzyz, zyz)"
-    assert len(calls) == 1
+    assert calls == ["admissibility", "_images"]
+    for counts in ((3, 2, 1), (1, 1, 16_000), (5, 8), (1, 1, 2, 4)):
+        calls.clear()
+        epichristoffel_tree(T(counts))
+        assert calls == ["admissibility", "_images"], counts
     assert not hasattr(trees, "construct")
+    assert not hasattr(trees, "RootSelectionError")
 
 
 def test_tree_root_of_a_long_run_takes_milliseconds():
@@ -583,7 +593,7 @@ def test_factorizability_matches_the_per_node_oracle_on_deep_trees():
         assert report == naive_classify_factorizability(T(counts), depth)
 
 
-def test_factorizability_tests_two_words_per_report(monkeypatch):
+def test_factorizability_tests_one_word_per_report(monkeypatch):
     calls = []
 
     def counting(w):
@@ -593,7 +603,8 @@ def test_factorizability_tests_two_words_per_report(monkeypatch):
     monkeypatch.setattr("epiword.trees.is_epichristoffel_word", counting)
     report = classify_factorizability(T((1, 2, 4)), 12)
     assert len(report.nodes) == 8191
-    assert calls == [report.root.u, report.root.v]  # testing both parts of every node made 16,382
+    # The root's u is its tuple's epichristoffel word by construction; testing both parts of every node made 16,382.
+    assert calls == [report.root.v]
 
 
 def test_factorizability_to_depth_12_takes_under_a_tenth_of_a_second():
