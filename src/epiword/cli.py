@@ -181,15 +181,15 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
     trace = admissibility(p)
     if (show_word or show_split) and not trace.admissible:
         raise ValueError(f"{p} is not admissible: {trace.rejection}")
+    if show_word or show_split:  # built before the first byte, so a refusal writes nothing
+        result = construct(p, alphabet)
+        split = split_construction(result) if show_split else None
     if show_trace:
         _write(chain(_trace_pieces(trace, alphabet.symbols), ["\n"]))
         click.echo("admissible" if trace.admissible else "rejected")
-    if show_word or show_split:
-        result = construct(p, alphabet)
     if show_word:
         click.echo(f"c: {result.c_word} / epi: {result.epi_word}")
     if show_split:
-        split = split_construction(result)
         click.echo(f"({split.u}, {split.v})")
     if not (show_trace or show_word or show_split):
         click.echo("admissible" if trace.admissible else "rejected")

@@ -261,6 +261,23 @@ def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak
     return trace, alphabet
 
 
+def _root(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[Word, Word]:
+    """The epichristoffel-tree root (u, v) of admissible ``p``, from one reduction and one image pass.
+
+    With a the innermost run's letter, t the terminal letter, low = min(a, t) and high = max(a, t), u = Phi(low) and
+    v = Phi(high), Phi the other atoms applied as low's Lyndon image applies them. The innermost atom maps t to
+    low*high, so uv is the tuple's epichristoffel word; u is a letter image, so it is its tuple's (Paquin 2010). No
+    other cut of uv gives two epichristoffel words, and this one does when v is one: the standard factorization
+    (Borel-Laubie) for k = 2; for k >= 3 the epichristoffel-tree paper (arXiv 2507.15313) suggests it, checked at
+    every cut for every tuple with entries below 80, 36, 12, 7, 5 for k = 2, 3, 4, 5, 6, under all three tie-breaks.
+    """
+    trace, alphabet = _admitted(p, alphabet, tie_break)
+    outer = _outer_atoms(trace.runs)  # a unit tuple has no split: refused before its runs are read
+    low, high = sorted((trace.runs[-1][0], trace.terminal))
+    img = _lyndon_images(outer, (low, high), p.k)
+    return Word._trusted(img[low], alphabet), Word._trusted(img[high], alphabet)
+
+
 def _c_code(p: OccurrenceTuple, trace: TTrace) -> str:
     """The code of the c-word of admissible ``p``, the terminal letter's image under the runs' atoms, in O(n + k*runs)."""
     assert trace.terminal is not None
@@ -340,15 +357,13 @@ def is_c_epichristoffel(w: Word) -> bool:
 
 
 def epi_factorizations(w: Word) -> list[tuple[Word, Word]]:
-    """All cuts of ``w`` into two epichristoffel words; empty means no such cut."""
+    """All cuts of ``w`` into two epichristoffel words: its tree root (u, v) when v is one, else none (``_root``)."""
     if not is_epichristoffel_word(w):
         raise NotEpichristoffelError(f"{w} is not an epichristoffel word")
-    found = []
-    for cut in range(1, len(w)):
-        u, v = w[:cut], w[cut:]
-        if is_epichristoffel_word(u) and is_epichristoffel_word(v):
-            found.append((u, v))
-    return found
+    if len(w) < 2:
+        return []
+    root = _root(_code_counts(w._code, w.alphabet.size), w.alphabet, "recent")
+    return [root] if is_epichristoffel_word(root[1]) else []
 
 
 def _orderings(values: list[int]) -> Iterator[tuple[int, ...]]:

@@ -22,8 +22,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
 
 from .christoffel import _tree_walk
-from .epichristoffel import TieBreak, _admitted, _lyndon_images, _outer_atoms
-from .epichristoffel import epi_factorizations, is_epichristoffel_word
+from .epichristoffel import TieBreak, _root, epi_factorizations, is_epichristoffel_word
 from .errors import DimensionMismatchError, NotInTreeError, WordLengthOverflow
 from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, parikh
 
@@ -278,23 +277,10 @@ def christoffel_tree(alphabet: Alphabet = BINARY) -> TreeNode:
 
 
 def epichristoffel_tree(
-    p: OccurrenceTuple,
-    alphabet: Alphabet | None = None,
-    tie_break: TieBreak = "recent",
+    p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
 ) -> TreeNode:
-    """Root of the epichristoffel tree for an admissible tuple, from one reduction and one image pass.
-
-    With a the innermost run's letter and t the terminal letter, low = min(a, t) and high = max(a, t), the root
-    is (Phi(low), Phi(high)), Phi the runs without the innermost atom, applied as the Lyndon image of low applies
-    them. Under those atoms the innermost one maps t to low*high, so Phi(low)Phi(high) is the tuple's
-    epichristoffel word, and it is cut where its prefix is the epichristoffel word of that part's tuple: a part
-    is a letter image, so it lies in its own tuple's class (Paquin 2010), whose Lyndon word is Phi(low).
-    """
-    trace, alphabet = _admitted(p, alphabet, tie_break)
-    outer = _outer_atoms(trace.runs)  # a unit tuple has no split: refused before its runs are read
-    low, high = sorted((trace.runs[-1][0], trace.terminal))
-    img = _lyndon_images(outer, (low, high), p.k)
-    return TreeNode(Word._trusted(img[low], alphabet), Word._trusted(img[high], alphabet))
+    """Root (u, v) of the epichristoffel tree for an admissible tuple, uv its epichristoffel word (``_root``)."""
+    return TreeNode(*_root(p, alphabet, tie_break))
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
@@ -542,9 +528,9 @@ class FactorizabilityReport:
 
     Only the root's v is tested. The root's u is the epichristoffel word of its tuple (``epichristoffel_tree``);
     off the left spine a node's u is an ancestor's node word uv, off the right spine so is its v, and node words
-    are epichristoffel words (criterion 04). So every u is one. When the root's v is not one, the words along the
-    rightmost spine are checked for having no two-factor epichristoffel cut at all, one quadratic scan of cuts per
-    word; ``right_spine_unfactorizable`` stays None otherwise.
+    are epichristoffel words (criterion 04). So every u is one. When the root's v is not one, each rightmost-spine
+    word is checked for having no cut into two epichristoffel words, from its tree root and one word test
+    (``epi_factorizations``); ``right_spine_unfactorizable`` stays None otherwise.
     """
 
     root: TreeNode
@@ -558,14 +544,13 @@ class FactorizabilityReport:
 
 
 def classify_factorizability(
-    root_tuple: OccurrenceTuple,
-    depth: int,
-    alphabet: Alphabet | None = None,
+    root_tuple: OccurrenceTuple, depth: int, alphabet: Alphabet | None = None
 ) -> FactorizabilityReport:
     """Classify every node to ``depth`` from one word test, on the root's v, and probe the rightmost spine.
 
     Every node has an epichristoffel u (``FactorizabilityReport``), and node i of its level an epichristoffel v
-    if it is not the level's last node or the root's v is one; building the levels costs more than the verdicts.
+    if it is not the level's last node or the root's v is one. Each spine word's one candidate cut is its tree
+    root (``epi_factorizations``), so building the levels costs more than the verdicts.
     """
     root = epichristoffel_tree(root_tuple, alphabet)
     levels = tree_levels(root, depth)

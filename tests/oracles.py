@@ -9,9 +9,10 @@ per reduction step, epichristoffel words by applying one ``Psi`` atom per
 reduction step, atom images by one list append per letter and sequence
 images by a fold of those, Christoffel splits by scanning every path label, tree roots by building each part's
 word anew, the epichristoffel test by the
-least rotation of the word built for the letter counts, tree paths by one subtraction
+least rotation of the word built for the letter counts, epichristoffel factorizations by both word tests at every
+cut, tree paths by one subtraction
 and one node per step, word-tree levels breadth first by ``left`` and
-``right`` on each node, factorizability by both word tests on every node,
+``right`` on each node, factorizability by both word tests on every node and that cut scan on the spine,
 admissible tuples by reducing every composition,
 mediant rows by one ``mediant`` call per neighbouring pair, Stern-Brocot
 diagonals by reading each level of those rows in turn, the longest node word
@@ -42,7 +43,6 @@ from epiword import (
     christoffel_word,
     construct,
     default_alphabet,
-    epi_factorizations,
     epichristoffel_tree,
     is_epichristoffel_word,
     least_rotation,
@@ -52,7 +52,8 @@ from epiword import (
     tree_levels,
 )
 from epiword.epichristoffel import split_construction
-from epiword.errors import AllZeroError, EmptyWordError, InvalidLetterError, NotInTreeError, RootSelectionError
+from epiword.errors import AllZeroError, EmptyWordError, InvalidLetterError, NotEpichristoffelError, NotInTreeError
+from epiword.errors import RootSelectionError
 from epiword.trees import FactorizabilityReport, NodeClassification, _solve_seed_combination
 
 
@@ -343,6 +344,18 @@ def naive_is_epichristoffel_word(w: Word, tie_break: str = "recent") -> bool:
     return least_rotation(construct(p, w.alphabet, tie_break).c_word)[0] == w
 
 
+def naive_epi_factorizations(w: Word) -> list[tuple[Word, Word]]:
+    """Every cut of epichristoffel ``w`` into two epichristoffel words, by both word tests at each of the n - 1 cuts."""
+    if not is_epichristoffel_word(w):
+        raise NotEpichristoffelError(f"{w} is not an epichristoffel word")
+    found = []
+    for cut in range(1, len(w)):
+        u, v = w[:cut], w[cut:]
+        if is_epichristoffel_word(u) and is_epichristoffel_word(v):
+            found.append((u, v))
+    return found
+
+
 def naive_walk_to_tuple(root_tuple: OccurrenceTuple, target: OccurrenceTuple, alphabet=None):
     """Tree path and node by one subtraction, then one ``left``/``right``, per step."""
     root = naive_epichristoffel_tree(root_tuple, alphabet)
@@ -376,7 +389,7 @@ def naive_tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
 
 
 def naive_classify_factorizability(root_tuple: OccurrenceTuple, depth: int, alphabet=None) -> FactorizabilityReport:
-    """Report from ``is_epichristoffel_word`` on the u and the v of every node, with the same right-spine probe."""
+    """Report from ``is_epichristoffel_word`` on the u and the v of every node; the right spine scanned at each cut."""
     root = epichristoffel_tree(root_tuple, alphabet)
     levels = tree_levels(root, depth)
     entries = tuple(
@@ -388,7 +401,7 @@ def naive_classify_factorizability(root_tuple: OccurrenceTuple, depth: int, alph
     if entries[0].v_epichristoffel:
         spine_free = None
     else:
-        spine_free = all(epi_factorizations(word) == [] for word in spine_words)
+        spine_free = all(naive_epi_factorizations(word) == [] for word in spine_words)
     return FactorizabilityReport(root, entries, spine_words, spine_free)
 
 

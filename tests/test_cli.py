@@ -131,10 +131,10 @@ def test_tuple_on_a_huge_total_finishes_within_two_seconds(args, code, stdout, s
 
 
 def test_tuple_split_of_a_unit_tuple_is_an_error():
-    result = run("tuple", "0,1,0", "--word", "--split")
-    assert result.exit_code == 2
-    assert result.stdout == "c: y / epi: y\n"
-    assert result.stderr == "error: unit tuples have no two-factor split\n"
+    for args in (("--word", "--split"), ("--trace", "--split")):
+        result = run("tuple", "0,1,0", *args)
+        assert (result.exit_code, result.stdout) == (2, ""), args  # the word or trace was written first before
+        assert result.stderr == "error: unit tuples have no two-factor split\n"
 
 
 def test_tuple_word_on_rejected_tuple_is_an_error():
@@ -494,9 +494,8 @@ def test_commands_are_deterministic():
         (("tree", "sb", "--root", "1,2,4", "--alphabet", "xyzw"), ""),
         (("find", "--root", "1,2,4", "--target", "3,8,16", "--alphabet", "ab"), ""),
         (("diagonal", "--side", "R", "--k", "1", "--root", "1,2,4", "--alphabet", "ab"), ""),
-        # The trace is printed before construction finds the alphabet too large.
-        (("tuple", "1,2,4", "--alphabet", "xyzw", "--trace", "--word"),
-         "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\n"),
+        # Construction finds the alphabet too large before the trace's first byte.
+        (("tuple", "1,2,4", "--alphabet", "xyzw", "--trace", "--word"), ""),
         # Input bounds.
         (("christoffel", "40", "41", "--draw"), ""),
         (("exists", "--length", "7", "--k", "3", "--max", "-1"), ""),
@@ -514,6 +513,21 @@ def test_library_errors_exit_2_with_one_message(monkeypatch, args, stdout):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args, stderr",
+    [
+        (("tuple", "13,1", "--trace", "--split", "--alphabet", "xyz"),
+         "error: alphabet size 3 does not match tuple length 2\n"),
+        (("tuple", "1048576,13,1", "--trace", "--word"), "error: word of length 1048590 exceeds the budget\n"),
+    ],
+    ids=["split-alphabet", "word-over-budget"],
+)
+def test_trace_with_a_refused_word_or_split_writes_nothing(args, stderr):
+    # The trace used to be written first: 151 bytes, and 1,343,794 bytes.
+    result = run(*args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
+
+
 def test_draw_cap_applies_only_when_the_path_is_drawn(monkeypatch):
     monkeypatch.setattr("epiword.cli.MAX_WORD_LENGTH", 1000)
     assert run("christoffel", "30", "31", "--draw").exit_code == 0  # 31 * 32 cells
@@ -527,6 +541,10 @@ def test_trace_keeps_working_with_a_larger_alphabet():
     result = run("tuple", "1,2,4", "--alphabet", "xyzw", "--trace")
     assert result.exit_code == 0
     assert result.output == "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\n"
+    result = run("tuple", "13,1", "--trace", "--alphabet", "xyz")  # --split or --word would need exactly 2 letters
+    steps = "".join(f" ->x ({n},1)" for n in range(12, -1, -1))
+    assert (result.exit_code, result.stdout) == (0, f"(13,1){steps}\nadmissible\n")
+    assert len(result.stdout) == 151
     result = run("tuple", "1,2,4", "--alphabet", "ab")
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: alphabet size 2 is smaller than tuple length 3\n"

@@ -2,6 +2,7 @@ import sys
 import time
 from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,12 +36,14 @@ from epiword import (
     least_rotation,
     parikh,
     rotate,
+    standard_factorization,
     t_operator,
     tuples_of_length,
 )
 from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _lyndon_images, _outer_atoms, split_construction
 from epiword.morphisms import apply
-from oracles import naive_admissibility, naive_construct, naive_is_epichristoffel_word, naive_tuples_of_length
+from oracles import naive_admissibility, naive_construct, naive_epi_factorizations, naive_is_epichristoffel_word
+from oracles import naive_tuples_of_length
 from strategies import grown_tuples, near_misses
 from timing import best_of
 
@@ -525,6 +528,50 @@ def test_epi_factorizations_examples():
 def test_epi_factorizations_rejects_other_words():
     with pytest.raises(NotEpichristoffelError):
         epi_factorizations(TERNARY.word("zyzzyzx"))
+
+
+# The oracle runs two word tests at each cut, so totals stay near 3,000 letters.
+factorized_words = st.one_of(
+    grown_tuples(3000),
+    near_misses(3000).filter(lambda p: admissibility(p).admissible),
+    st.integers(0, 1500).map(lambda n: T((1, 1, 2 * n))),  # (1, 1, n) is admissible for even n only
+).map(lambda p: construct(p).epi_word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factorized_words)
+def test_epi_factorizations_match_the_cut_scan(w):
+    assert epi_factorizations(w) == naive_epi_factorizations(w)
+
+
+def test_epi_factorizations_match_the_cut_scan_on_every_small_tuple():
+    words = 0
+    for k, bound in ((2, 40), (3, 16), (4, 8)):
+        for counts in product(range(bound), repeat=k):
+            if any(counts) and admissibility(T(counts)).admissible:
+                w = construct(T(counts)).epi_word
+                assert epi_factorizations(w) == naive_epi_factorizations(w), counts
+                words += 1
+    assert words == 2822  # 2,813 of two letters or more, and the 9 single letters
+
+
+def test_binary_factorization_is_the_standard_factorization():
+    # christoffel.py builds the word and its split by the Christoffel tree walk, sharing no code with the root read.
+    slopes = [Slope(a, b) for a in range(1, 60) for b in range(1, 60) if gcd(a, b) == 1]
+    assert len(slopes) == 2171
+    for slope in slopes:
+        assert epi_factorizations(christoffel_word(slope)) == [standard_factorization(slope)], slope
+
+
+def test_a_long_run_factorizes_from_its_root_in_milliseconds(monkeypatch):
+    w = construct(T((1, 1, 64_000))).epi_word
+    best, found = best_of(3, lambda: epi_factorizations(w))
+    assert best < 0.01  # two word tests at each of the 64,001 cuts took 7.9 s
+    assert [(len(u), len(v)) for u, v in found] == [(32_001, 32_001)]
+    tested = []
+    monkeypatch.setattr("epiword.epichristoffel.is_epichristoffel_word", lambda x: tested.append(x) or True)
+    epi_factorizations(w)
+    assert tested == [w, found[0][1]]  # the word, then the root's v
 
 
 def test_tuples_of_length():

@@ -582,7 +582,7 @@ def test_classify_factorizability_all_factorizable():
 @example(T((1, 2, 4)), 5)  # the root's v is not epichristoffel, so the right spine is probed
 @example(T((3, 2, 1)), 5)
 def test_factorizability_matches_the_per_node_oracle(p, depth):
-    # Totals stay small because both sides scan every cut of each right-spine word when the root's v fails.
+    # Totals stay small because the oracle scans every cut of each right-spine word when the root's v fails.
     assert outcome(classify_factorizability, p, depth) == outcome(naive_classify_factorizability, p, depth)
 
 
