@@ -6,13 +6,14 @@ reaches a unit vector: a subtractive Euclid algorithm, run here by division.
 The q steps that reduce one index in a row are one run (i, q), found by one
 division, so a trace holds O(k log max) runs and expands its steps on demand.
 Each step is one ``Psi`` atom; the atoms map the letter left standing to the
-c-word, built from the runs by the letter-image loop of ``morphisms``. Before
-the last atom, u = img[its letter] and v = img[terminal] are the canonical
-split, and the c-word is u*v; their letter counts follow from the runs alone,
-in O(k*runs). The epichristoffel word, the Lyndon conjugate of the c-word, is
-built the same way with no rotation searched: each run is applied as Psi_a or
+c-word. Every word here is read off one pass of the letter-image loop of
+``morphisms`` over the atoms before the last one (``_parts``): the images of
+the last atom's letter and of the terminal letter are the canonical split
+u*v, the c-word. The epichristoffel word, the Lyndon conjugate of the c-word,
+is the same pass with no rotation searched: each run is applied as Psi_a or
 as its conjugate Psi-bar_a (c -> ca), whichever makes every occurrence of the
-least letter start an image.
+least letter start an image, and the lesser letter's image comes first, which
+cuts it at its epichristoffel-tree root.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Collection, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
 from .errors import TrivialTupleError, WordLengthOverflow
@@ -199,54 +200,6 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
     return TTrace(p, tuple(runs), terminal, rejection)
 
 
-def _outer_atoms(runs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The runs without the innermost atom, the one the canonical split peels; a unit tuple has none."""
-    if not runs:
-        raise TrivialTupleError("unit tuples have no two-factor split")
-    *outer, (last, q) = runs
-    return (*outer, (last, q - 1)) if q > 1 else tuple(outer)
-
-
-def _cut(c_word: Word, runs: Sequence[tuple[int, int]], terminal: int) -> CanonicalSplit:
-    """The c-word cut after |u|, with the letter counts of u and v found in O(k*runs): no letter is counted.
-
-    Taking the atoms before the last one innermost first, Psi_a^n maps each
-    letter c != a to a^n c, so it adds n times the count of the other letters
-    to a's count.
-    """
-    atoms = _outer_atoms(runs)[::-1]
-    parts = []
-    for letter in (runs[-1][0], terminal):
-        counts = [0] * c_word.alphabet.size
-        counts[letter] = 1
-        for a, n in atoms:
-            counts[a] += n * (sum(counts) - counts[a])
-        parts.append(OccurrenceTuple(tuple(counts)))
-    cut = parts[0].total()
-    return CanonicalSplit(c_word[:cut], c_word[cut:], *parts)
-
-
-def _lyndon_images(runs: Sequence[tuple[int, int]], letters: Collection[int], k: int) -> list:
-    """Images of the distinct ``letters`` under the runs' atoms, as code strings; the least letter's is its Lyndon word.
-
-    Psi_a (c -> ac) and Psi-bar_a (c -> ca) map every word to conjugate words,
-    so applying each run as either one gives a conjugate of the image. Both
-    keep the lexicographic order of infinite words: the images of letters
-    b < c, each followed by more images, first differ at two letters in the
-    order of b and c. Take the runs innermost first, with x the inner word and
-    L its least conjugate, its Lyndon word, as images of a letter are
-    primitive. The least conjugate of the image starts with its least letter m.
-    When m = a, every a starts an image under Psi_a; otherwise every m starts
-    an image under Psi-bar_a. Either way that conjugate starts at an image
-    boundary, so it is the image of the least conjugate of x: Psi_a(L) or
-    Psi-bar_a(L). The letters of the word inside run j are the least of
-    ``letters`` and the letters of runs j and further in, so m is a suffix
-    minimum; the other letters' images are taken under the same atoms.
-    """
-    lows = list(accumulate(reversed([a for a, _ in runs]), min, initial=min(letters)))[::-1]
-    return _images(runs, [a == low for (a, _), low in zip(runs, lows)], letters, [*map(chr, range(k))])
-
-
 def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[TTrace, Alphabet]:
     """The trace of ``p`` and the alphabet to write its word in, once the word is known to exist and fit."""
     trace = admissibility(p, tie_break)
@@ -261,29 +214,68 @@ def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak
     return trace, alphabet
 
 
-def _root(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[Word, Word]:
-    """The epichristoffel-tree root (u, v) of admissible ``p``, from one reduction and one image pass.
+def _parts(trace: TTrace, k: int, lyndon: bool) -> tuple[str, str]:
+    """Codes (u, v) of two letter images under the runs of admissible ``trace`` but its innermost atom Psi_a.
 
-    With a the innermost run's letter, t the terminal letter, low = min(a, t) and high = max(a, t), u = Phi(low) and
-    v = Phi(high), Phi the other atoms applied as low's Lyndon image applies them. The innermost atom maps t to
-    low*high, so uv is the tuple's epichristoffel word; u is a letter image, so it is its tuple's (Paquin 2010). No
-    other cut of uv gives two epichristoffel words, and this one does when v is one: the standard factorization
-    (Borel-Laubie) for k = 2; for k >= 3 the epichristoffel-tree paper (arXiv 2507.15313) suggests it, checked at
-    every cut for every tuple with entries below 80, 36, 12, 7, 5 for k = 2, 3, 4, 5, 6, under all three tie-breaks.
+    One pass of the letter-image loop over those outer runs. With t the
+    terminal letter, Psi_a maps t to at. Without ``lyndon``, u and v are the
+    images of a and t, every run applied as Psi: u*v is the c-word at its
+    canonical split. With ``lyndon``, they are the images of low = min(a, t)
+    and high = max(a, t), every run applied as low's Lyndon image applies it:
+    u*v is the epichristoffel word at its tree root.
+
+    Psi_a (c -> ac) and Psi-bar_a (c -> ca) map every word to conjugate words,
+    so applying each run as either one gives a conjugate of the image. Both
+    keep the lexicographic order of infinite words: the images of letters
+    b < c, each followed by more images, first differ at two letters in the
+    order of b and c. Take the runs innermost first, with x the inner word and
+    L its least conjugate, its Lyndon word, as images of a letter are
+    primitive; innermost, x = at and L = low*high. The least conjugate of the
+    image starts with its least letter m. When m = a, every a starts an image
+    under Psi_a; otherwise every m starts an image under Psi-bar_a. Either way
+    that conjugate starts at an image boundary, so it is the image of the least
+    conjugate of x: Psi_a(L) or Psi-bar_a(L). The letters of the word inside
+    run j are low and the letters of runs j and further in, so m is a suffix
+    minimum; high's image is taken under the same atoms, after low's.
+
+    No image built is longer than the word. With w the letters of the outer
+    atoms, Justin's formula Pal(wc) = Psi_w(c) Pal(w) gives |Psi_w(c)| <=
+    |Pal(w)| + 1 <= |u| + |v| for every c, and an image under fewer atoms is
+    no longer. A unit tuple has no atom, so no split.
+    """
+    if not trace.runs:
+        raise TrivialTupleError("unit tuples have no two-factor split")
+    # The innermost run is one step that breaks the tie (1, 1) of a and t: any other run into a unit vector stops at it.
+    *outer, (a, _) = trace.runs
+    if lyndon:
+        letters = sorted((a, trace.terminal))
+        lows = list(accumulate(reversed([b for b, _ in outer]), min, initial=letters[0]))[::-1]
+        fronts = [b == low for (b, _), low in zip(outer, lows)]
+    else:
+        letters, fronts = [a, trace.terminal], repeat(True)
+    img = _images(outer, fronts, letters, [*map(chr, range(k))])
+    return img[letters[0]], img[letters[1]]
+
+
+def _split(trace: TTrace, alphabet: Alphabet) -> CanonicalSplit:
+    """The canonical split of admissible ``trace``'s c-word (``_parts``), each part's letters counted once."""
+    u, v = _parts(trace, alphabet.size, False)
+    u_tuple, v_tuple = _code_counts(u, alphabet.size), _code_counts(v, alphabet.size)
+    assert u_tuple + v_tuple == trace.start, f"the split lost counts for {trace.start}"
+    return CanonicalSplit(Word._trusted(u, alphabet), Word._trusted(v, alphabet), u_tuple, v_tuple)
+
+
+def _root(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[Word, Word]:
+    """The epichristoffel-tree root (u, v) of admissible ``p``: one reduction and one image pass (``_parts``).
+
+    uv is the tuple's epichristoffel word, and u, a letter image, is its tuple's (Paquin 2010). No other cut of uv
+    gives two epichristoffel words, and this one does when v is one: the standard factorization (Borel-Laubie) for
+    k = 2; for k >= 3 the epichristoffel-tree paper (arXiv 2507.15313) suggests it, checked at every cut for every
+    tuple with entries below 80, 36, 12, 7, 5 for k = 2, 3, 4, 5, 6, under all three tie-breaks.
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
-    outer = _outer_atoms(trace.runs)  # a unit tuple has no split: refused before its runs are read
-    low, high = sorted((trace.runs[-1][0], trace.terminal))
-    img = _lyndon_images(outer, (low, high), p.k)
-    return Word._trusted(img[low], alphabet), Word._trusted(img[high], alphabet)
-
-
-def _c_code(p: OccurrenceTuple, trace: TTrace) -> str:
-    """The code of the c-word of admissible ``p``, the terminal letter's image under the runs' atoms, in O(n + k*runs)."""
-    assert trace.terminal is not None
-    c = _images(trace.runs, repeat(True), [trace.terminal], [*map(chr, range(p.k))])[trace.terminal]
-    assert _code_counts(c, p.k) == p, f"construction lost counts for {p}"
-    return c
+    u, v = _parts(trace, p.k, True)
+    return Word._trusted(u, alphabet), Word._trusted(v, alphabet)
 
 
 def construct(
@@ -291,15 +283,17 @@ def construct(
 ) -> ConstructionResult:
     """Build the word realizing an admissible tuple, and its Lyndon conjugate.
 
-    The word, the terminal letter's image under one ``Psi`` atom per reduction step, is built from the
-    trace's runs in O(n + k*runs); the atoms are listed only when ``morphisms`` is read. The epichristoffel
-    word, the unique Lyndon representative of the class, is built from the same runs (``_lyndon_images``),
-    and the offset of the rotation that gives it is found by one substring search. By Justin's formula
-    Pal(wc) = Psi_w(c) Pal(w), no letter image built is longer than twice the word, which the budget bounds.
+    The word, the terminal letter's image under one ``Psi`` atom per reduction step, is its canonical split
+    joined, and the epichristoffel word, the unique Lyndon representative of the class, its tree root joined:
+    two image passes over the trace's runs (``_parts``), in O(n + k*runs), with the atoms listed only when
+    ``morphisms`` is read. A unit tuple's word is its one letter. The offset of the rotation that gives the
+    epichristoffel word is found by one substring search.
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
-    c = _c_code(p, trace)
-    epi = _lyndon_images(trace.runs, [trace.terminal], p.k)[trace.terminal]
+    if trace.runs:
+        c, epi = "".join(_parts(trace, p.k, False)), "".join(_parts(trace, p.k, True))
+    else:
+        c = epi = chr(trace.terminal)
     offset = (c + c).find(epi)
     assert offset >= 0, f"the Lyndon image of {p} is not a rotation of its word"
     return ConstructionResult(Word._trusted(c, alphabet), trace.terminal, Word._trusted(epi, alphabet), offset, trace)
@@ -312,32 +306,31 @@ def canonical_split(
 
     With atoms f1..fl and terminal letter t, u is the image of fl's letter
     and v the image of t under f1..f(l-1); then u*v is the constructed word.
-    Only the c-word is built: no atom list, no Lyndon image, no rotation search.
+    One reduction and one image pass (``_split``): no c-word, no Lyndon image, no rotation search.
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
-    return _cut(Word._trusted(_c_code(p, trace), alphabet), trace.runs, trace.terminal)
+    return _split(trace, alphabet)
 
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
-    """The canonical split of a built construction, its letter images before the last atom: u*v cut after |u|."""
-    return _cut(result.c_word, result.trace.runs, result.terminal_letter)
+    """The canonical split of a built construction, from its trace by one image pass (``_split``), with no reduction."""
+    return _split(result.trace, result.c_word.alphabet)
 
 
-def _epichristoffel_code(w: Word) -> tuple[str, str | None]:
-    """The code of ``w`` and of the epichristoffel word with its letter counts, None when there is none."""
+def _epichristoffel_parts(w: Word) -> tuple[str, tuple[str, ...] | None]:
+    """The code of ``w`` and the epichristoffel word of its letter counts, as one letter or its root (u, v), or None."""
     if len(w) == 0:
         raise EmptyWordError("epichristoffel test is defined for nonempty words")
     s = w._code
     if len(w) == 1:
-        return s, s
+        return s, (s,)
     if w.alphabet.size < 2:
         return s, None
     try:
         trace, _ = _admitted(_code_counts(s, w.alphabet.size), w.alphabet, "recent")
     except NotAdmissibleError:
         return s, None
-    assert trace.terminal is not None
-    return s, _lyndon_images(trace.runs, [trace.terminal], w.alphabet.size)[trace.terminal]
+    return s, _parts(trace, w.alphabet.size, True)
 
 
 def is_epichristoffel_word(w: Word) -> bool:
@@ -345,25 +338,29 @@ def is_epichristoffel_word(w: Word) -> bool:
 
     Single letters qualify as images under the identity morphism.
     """
-    s, epi = _epichristoffel_code(w)
-    return s == epi
+    s, parts = _epichristoffel_parts(w)
+    return parts is not None and s == "".join(parts)
 
 
 def is_c_epichristoffel(w: Word) -> bool:
     """True when some rotation of ``w`` is an epichristoffel word."""
-    s, epi = _epichristoffel_code(w)
+    s, parts = _epichristoffel_parts(w)
     # Equal letter counts, so equal lengths: s is a rotation of epi when it occurs in epi*epi.
-    return epi is not None and s in epi + epi
+    return parts is not None and s in "".join(parts) * 2
 
 
 def epi_factorizations(w: Word) -> list[tuple[Word, Word]]:
-    """All cuts of ``w`` into two epichristoffel words: its tree root (u, v) when v is one, else none (``_root``)."""
-    if not is_epichristoffel_word(w):
+    """All cuts of ``w`` into two epichristoffel words: its tree root (u, v) when v is one, else none (``_root``).
+
+    The word test and the root are one pass (``_epichristoffel_parts``); only v is tested again.
+    """
+    s, parts = _epichristoffel_parts(w)
+    if parts is None or s != "".join(parts):
         raise NotEpichristoffelError(f"{w} is not an epichristoffel word")
-    if len(w) < 2:
+    if len(parts) < 2:
         return []
-    root = _root(_code_counts(w._code, w.alphabet.size), w.alphabet, "recent")
-    return [root] if is_epichristoffel_word(root[1]) else []
+    u, v = (Word._trusted(x, w.alphabet) for x in parts)
+    return [(u, v)] if is_epichristoffel_word(v) else []
 
 
 def _orderings(values: list[int]) -> Iterator[tuple[int, ...]]:

@@ -529,8 +529,8 @@ class FactorizabilityReport:
     Only the root's v is tested. The root's u is the epichristoffel word of its tuple (``epichristoffel_tree``);
     off the left spine a node's u is an ancestor's node word uv, off the right spine so is its v, and node words
     are epichristoffel words (criterion 04). So every u is one. When the root's v is not one, each rightmost-spine
-    word is checked for having no cut into two epichristoffel words, from its tree root and one word test
-    (``epi_factorizations``); ``right_spine_unfactorizable`` stays None otherwise.
+    word is checked for having no cut into two epichristoffel words: one pass tests it and reads its tree root,
+    then one word test on the root's v (``epi_factorizations``); ``right_spine_unfactorizable`` stays None otherwise.
     """
 
     root: TreeNode

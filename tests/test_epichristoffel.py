@@ -29,6 +29,7 @@ from epiword import (
     construct,
     default_alphabet,
     epi_factorizations,
+    epichristoffel_tree,
     format_trace,
     is_c_epichristoffel,
     is_epichristoffel_word,
@@ -40,8 +41,8 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
-from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _lyndon_images, _outer_atoms, split_construction
-from epiword.morphisms import apply
+from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _parts, split_construction
+from epiword.morphisms import _images, apply
 from oracles import naive_admissibility, naive_construct, naive_epi_factorizations, naive_is_epichristoffel_word
 from oracles import naive_tuples_of_length
 from strategies import grown_tuples, near_misses
@@ -226,10 +227,12 @@ def test_construct_and_split_match_the_per_atom_oracle(p):
 
 @settings(max_examples=100, deadline=None)
 @given(grown_tuples(max_total=10**4))
-def test_split_tuples_from_the_runs_count_each_part(p):
+def test_split_parts_join_to_the_word_and_count_each_part(p):
     assume(p.total() > 1)  # unit tuples have no split
     for rule in TIE_BREAKS:
-        s = split_construction(construct(p, tie_break=rule))
+        r = construct(p, tie_break=rule)
+        s = split_construction(r)
+        assert s.u + s.v == r.c_word
         assert (s.u_tuple, s.v_tuple) == (parikh(s.u), parikh(s.v))
 
 
@@ -338,12 +341,13 @@ def test_construction_never_rewrites_per_atom(monkeypatch):
 
 
 def test_letter_images_never_outgrow_the_word():
-    # construct and the tree roots hold every letter's image under all atoms,
-    # or all but the last, so this keeps them within twice the length budget
-    # checked on the tuple total. With w the letters of all atoms but the last,
-    # Justin's formula Pal(wc) = Psi_w(c) Pal(w) gives |Psi_w(c)| <= |Pal(w)| + 1
-    # for every c, and induction on the last occurrences in w of the last
-    # atom's letter and of the terminal letter gives |u| + |v| >= |Pal(w)| + 1.
+    # Every word is read off letter images under all atoms but the last
+    # (_parts), so this keeps them within the length budget checked on the
+    # tuple total, and images under all atoms within twice it. With w the
+    # letters of all atoms but the last, Justin's formula Pal(wc) =
+    # Psi_w(c) Pal(w) gives |Psi_w(c)| <= |Pal(w)| + 1 for every c, and
+    # induction on the last occurrences in w of the last atom's letter and
+    # of the terminal letter gives |u| + |v| >= |Pal(w)| + 1.
     # One more atom a gives |Psi_wa(c)| <= |Pal(wa)| + 1 <= 2 |Pal(w)| + 2.
     for k, max_total in ((3, 20), (4, 11)):
         alphabet = default_alphabet(k)
@@ -387,22 +391,66 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def oracle_split(p, rule):
+    """The split of the per-atom oracle's construction; the library's construction refuses what it cannot build."""
+    construct(p, tie_break=rule)
+    split = naive_construct(p, rule)[2]
+    if split is None:
+        raise TrivialTupleError("unit tuples have no two-factor split")
+    return split
+
+
 def test_canonical_split_matches_the_split_of_the_construction():
     for k, max_total in ((2, 30), (3, 14), (4, 8)):
         for p in all_tuples(k, max_total):
             for rule in TIE_BREAKS:
-                expected = outcome(lambda: split_construction(construct(p, tie_break=rule)))
+                expected = outcome(lambda: oracle_split(p, rule))
                 assert outcome(lambda: canonical_split(p, tie_break=rule)) == expected, (p, rule)
+                if not isinstance(expected, tuple):
+                    assert split_construction(construct(p, tie_break=rule)) == expected, (p, rule)
+
+
+def counting(calls, real):
+    def count(*args, **kwargs):
+        calls.append(real.__name__)
+        return real(*args, **kwargs)
+
+    return count
 
 
 def test_canonical_split_builds_no_construction(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the split built more than the c-word")
 
-    for name in ("construct", "_lyndon_images"):
-        monkeypatch.setattr(f"epiword.epichristoffel.{name}", fail)
+    calls = []
+    monkeypatch.setattr("epiword.epichristoffel.construct", fail)
+    monkeypatch.setattr("epiword.epichristoffel._images", counting(calls, _images))
     s = canonical_split(T((1, 2, 4)))
     assert (str(s.u), str(s.v), s.u_tuple, s.v_tuple) == ("zyz", "zyzx", T((0, 1, 2)), T((1, 1, 2)))
+    assert calls == ["_images"]
+
+
+BUILT_124 = construct(T((1, 2, 4)))
+
+
+# Each entry point reads its words off one shared image pass (_parts): (reductions, image passes).
+@pytest.mark.parametrize(
+    "call, passes",
+    [
+        pytest.param(lambda: construct(T((1, 2, 4))), (1, 2), id="construct"),
+        pytest.param(lambda: canonical_split(T((1, 2, 4))), (1, 1), id="canonical_split"),
+        pytest.param(lambda: split_construction(BUILT_124), (0, 1), id="split_construction"),
+        pytest.param(lambda: epichristoffel_tree(T((1, 2, 4))), (1, 1), id="epichristoffel_tree"),
+        pytest.param(lambda: is_epichristoffel_word(BUILT_124.epi_word), (1, 1), id="is_epichristoffel_word"),
+        pytest.param(lambda: epi_factorizations(BUILT_124.epi_word), (2, 2), id="epi_factorizations"),
+    ],
+)
+def test_each_entry_point_makes_its_reductions_and_image_passes(monkeypatch, call, passes):
+    calls = []
+    monkeypatch.setattr("epiword.epichristoffel.admissibility", counting(calls, admissibility))
+    monkeypatch.setattr("epiword.epichristoffel._images", counting(calls, _images))
+    call()
+    assert (calls.count("admissibility"), calls.count("_images")) == passes, calls
 
 
 def test_construct_preserves_counts_for_all_admissible_tuples():
@@ -451,13 +499,12 @@ def check_lyndon_words(p, rule):
     """The word's Lyndon conjugate and offset, and the tree root's image pass, against the rotation search."""
     r = construct(p, tie_break=rule)
     assert (r.epi_word, r.rotation_offset) == least_rotation(r.c_word), (p, rule)
-    if r.trace.runs:  # the tree root is (img[low], img[high]), read off one pass over the split's outer runs
+    if r.trace.runs:  # the tree root (u, v) is the Lyndon pass over the split's outer runs
         s = split_construction(r)
-        last = r.trace.runs[-1][0]
-        low, high = sorted((last, r.terminal_letter))
-        img = _lyndon_images(_outer_atoms(r.trace.runs), (low, high), p.k)
-        assert img[low] + img[high] == r.epi_word._code, (p, rule)
-        assert img[low] == least_rotation(s.u if low == last else s.v)[0]._code, (p, rule)
+        u, v = _parts(r.trace, p.k, True)
+        assert u + v == r.epi_word._code, (p, rule)
+        low = s.u if r.trace.runs[-1][0] < r.terminal_letter else s.v
+        assert u == least_rotation(low)[0]._code, (p, rule)
 
 
 @settings(max_examples=100, deadline=None)
@@ -571,7 +618,7 @@ def test_a_long_run_factorizes_from_its_root_in_milliseconds(monkeypatch):
     tested = []
     monkeypatch.setattr("epiword.epichristoffel.is_epichristoffel_word", lambda x: tested.append(x) or True)
     epi_factorizations(w)
-    assert tested == [w, found[0][1]]  # the word, then the root's v
+    assert tested == [found[0][1]]  # the root's v: the word itself is tested by the pass that reads the root
 
 
 def test_tuples_of_length():
