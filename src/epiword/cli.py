@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import click
 
 from .christoffel import Slope, christoffel_word, path_labels, path_points, standard_factorization
-from .epichristoffel import _trace_pieces, admissibility, construct, split_construction, tuples_of_length
+from .epichristoffel import _listing, _trace_pieces, admissibility, construct, split_construction
 from .errors import EpiwordError, WordLengthOverflow
 from .morphisms import apply as apply_morphisms
 from .morphisms import parse_morphisms
@@ -251,9 +251,8 @@ def exists_cmd(n: int, k: int, all_letters: bool, limit: int | None) -> None:
         raise ValueError("need --length >= 1 and --k >= 2")
     if limit is not None and limit < 0:
         raise ValueError("need --max >= 0")
-    found = tuples_of_length(n, k, all_letters)
-    for p in found[:limit]:
-        click.echo(",".join(str(c) for c in p.counts))
+    found = _listing(n, k, all_letters, limit)
+    _write(",".join(map(str, counts)) + "\n" for counts in islice(found, limit))
     if not found:
         sys.exit(1)
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, repeat
+from math import comb, gcd
 from typing import Iterator, Literal, Sequence
 
 from .errors import AllZeroError, EmptyWordError, NotAdmissibleError, NotEpichristoffelError
@@ -383,6 +384,8 @@ def _orderings(values: list[int]) -> Iterator[tuple[int, ...]]:
 # Most compositions of n into k entries, C(n+k-1, k-1), an enumeration may stand for:
 # n up to 8,190 for k = 3, 584 for k = 4, 165 for k = 5, 80 for k = 6 and 50 for k = 7.
 MAX_COMPOSITIONS = 32 * MAX_WORD_LENGTH
+# Most entries in the tuples with a zero that an enumeration may list: k up to 128 at n = 2.
+_MAX_PLACED_ENTRIES = MAX_WORD_LENGTH
 
 
 def _check_compositions(n: int, k: int) -> None:
@@ -399,61 +402,89 @@ def _check_compositions(n: int, k: int) -> None:
             raise WordLengthOverflow(f"enumeration of C({n + k - 1}, {k - 1}) compositions exceeds the budget")
 
 
-def tuples_of_length(n: int, k: int, require_all_letters: bool = False) -> list[OccurrenceTuple]:
-    """All admissible k-tuples with entry sum n, in lexicographic order.
+def _all_letters(n: int, k: int) -> list[tuple[int, ...]]:
+    """The admissible k-tuples of total n with no zero entry, unsorted: (1) at n = 1, coprime pairs, or a search.
 
-    For m >= 3 a tuple of total m is admissible exactly when it has a unique
-    maximum t with m/2 <= t < m and setting t to 2t - m leaves an admissible
-    tuple of total t: a tie at m >= 3 ends stationary or negative under every
-    tie-break. The search runs that reduction backwards over multisets. A
-    state is the total m, the pinned entries [original, current] already
-    reduced, and f free entries, never reduced and so interchangeable, with
-    sum F = m - sum of currents. The reduction is deterministic, so each
-    admissible multiset is reached once; then it yields its distinct orderings.
-
-    A leaf, one free entry left, is the original tuple part way through its
-    reduction: the currents and F, of total m. ``_reduce`` on them settles it in
-    a few integer steps, with no tuple or trace built. Leaves grow like n^2 for
-    k = 3 (36,935 / 146,317 / 582,844 at n = 1,000 / 2,000 / 4,000) and the
-    output like n^1.5 (26,589 / 65,703 / 199,407 tuples). An enumeration over
-    more than MAX_COMPOSITIONS compositions, C(n+k-1, k-1), is refused before
-    any search.
+    A tuple of total m >= 3 is admissible exactly when it has a unique maximum t, m/2 <= t < m, and t -> 2t - m
+    leaves an admissible tuple of total t. The search runs that backwards, reaching each admissible multiset once
+    (the reduction is deterministic) and listing its orderings: a state is the total m, the originals and
+    currents of the entries reduced, and f >= 2 interchangeable free entries of sum F. At f = 2 a free maximum
+    M leaves F - M as the last entry: a tuple part way through its reduction, for ``_reduce``.
     """
+    if k < 3:
+        return [(1,)] * (n == 1) if k == 1 else [(a, n - a) for a in range(1, n) if gcd(a, n) == 1]
+    found: list[tuple[int, ...]] = []
+
+    def grow(m: int, originals: tuple[int, ...], currents: tuple[int, ...], f: int, free: int) -> None:
+        while m >= 3:
+            ordered = sorted((-1, 0, *currents))
+            second, top, rest = ordered[-2], ordered[-1], m - ordered[-1]
+            # (a) The largest pinned entry stays the maximum, past any free entry, down to this floor: one division.
+            floor = max(second + 1, rest, -(-free // f) + 1, 3 - rest)
+            if currents and rest > 0 and top >= floor:
+                i = currents.index(top)
+                low = top - ((top - floor) // rest + 1) * rest
+                currents, m = (*currents[:i], low, *currents[i + 1 :]), low + rest
+                continue
+            # (b) A free entry becomes the maximum M; the f - 1 others are at least 1.
+            bigs = range(max(-(-m // 2), top + 1, -(-(free + f - 1) // f)), min(m - 1, free - f + 1) + 1)
+            if f > 2:
+                for big in bigs:
+                    grow(big, (*originals, big), (*currents, 2 * big - m), f - 1, free - big)
+            else:
+                for big in bigs:
+                    if _reduce([*currents, 2 * big - m, free - big], "smallest")[1] is not None:
+                        found.extend(_orderings([*originals, big, free - big]))
+            return
+        if free == f and all(c <= 1 for c in currents):  # total m <= 2: exactly m entries are 1 and the others 0
+            found.extend(_orderings([*originals, *repeat(1, f)]))
+
+    grow(n, (), (), k, n)
+    return found
+
+
+def _listed(lists: list[list[tuple[int, ...]]], k: int) -> int:
+    """How many k-tuples ``lists`` make, each j-letter list placed once per j-subset of the k positions."""
+    return sum(comb(k, len(tuples[0])) * len(tuples) for tuples in filter(None, lists))
+
+
+def _listing(n: int, k: int, require_all_letters: bool, first: int | None = None) -> list[tuple[int, ...]]:
+    """The counts ``tuples_of_length`` lists; given ``first``, a sorted list starting as they do, empty if they are."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     _check_compositions(n, k)
-    low = 1 if require_all_letters else 0
+    lists: list[list[tuple[int, ...]]] = []
+    for j in range(1, 0 if require_all_letters else min(n, k - 1) + 1):
+        lists.append(_all_letters(n, j))
+        if k * (listed := _listed(lists, k)) > _MAX_PLACED_ENTRIES:
+            raise WordLengthOverflow(f"enumeration of at least {listed} tuples of {k} entries exceeds the budget")
+    # k - j zeros, then the j-letter listing, begin the listing: given ``first``, take the least j < k with that many.
+    start = next((k - j for j in range(2, k) if first is not None and _listed(lists[:j], j) >= max(first, 1)), 0)
     found: list[tuple[int, ...]] = []
-
-    def grow(m: int, pinned: list[list[int]], f: int, free: int) -> None:
-        while m >= 3 and f >= 2:
-            currents = [-1, 0] + sorted(c for _, c in pinned)
-            second, top, rest = currents[-2], currents[-1], m - currents[-1]
-            # (a) The largest pinned entry is the maximum, and no free entry can
-            # pass it, while it is at least this floor: a run, by one division.
-            floor = max(second + 1, rest, -(-free // f) + 1, 3 - rest)
-            if pinned and rest > 0 and top >= floor:
-                entry = next(e for e in pinned if e[1] == top)
-                entry[1] -= ((top - floor) // rest + 1) * rest
-                m = entry[1] + rest
-                continue
-            # (b) A free entry becomes the maximum M; the f - 1 others lie in [low, M - 1].
-            least = max(-(-m // 2), top + 1, -(-(free + f - 1) // f))
-            for big in range(least, min(m - 1, free - low * (f - 1)) + 1):
-                grow(big, [e[:] for e in pinned] + [[big, 2 * big - m]], f - 1, free - big)
-            return
-        if f <= 1:  # the last free entry is F: the reduced state settles the tuple
-            tail = [free] * f
-            if _reduce([c for _, c in pinned] + tail, "smallest")[1] is not None:
-                found.extend(_orderings([o for o, _ in pinned] + tail))
-        elif f * low <= free <= f and all(c <= 1 for _, c in pinned):
-            # total m <= 2: exactly m entries are 1 and the others 0
-            found.extend(_orderings([o for o, _ in pinned] + [1] * free + [0] * (f - free)))
-
-    grow(n, [], k, n)
+    for tuples in filter(None, lists[: k - start]):
+        columns = list(zip(*tuples))
+        for positions in combinations(range(start, k), len(columns)):
+            row = [repeat(0)] * k
+            for i, column in zip(positions, columns):
+                row[i] = column
+            found.extend(zip(*row))
+    found += [] if start else _all_letters(n, k)
     found.sort()
-    # Every entry is a non-empty tuple of ints, so it passes the constructor's
-    # check: the counts slot's __set__ fills them all in one C-level batch.
+    return found
+
+
+def tuples_of_length(n: int, k: int, require_all_letters: bool = False) -> list[OccurrenceTuple]:
+    """All admissible k-tuples with entry sum n, in lexicographic order.
+
+    A zero entry never changes a verdict: it is never the maximum and adds nothing to the others' sum.
+    So the list is the admissible j-tuples of total n with no zero (``_all_letters``), j = 1..min(n, k),
+    each on every j-subset of the k positions, then sorted; with ``require_all_letters``, the k-letter
+    list alone. Refused: more than MAX_COMPOSITIONS compositions, C(n+k-1, k-1), before any search, and
+    more than _MAX_PLACED_ENTRIES entries in the tuples with a zero, k * (the sum over j < k of C(k, j) *
+    |j-letter list|), once the lists built, fewest letters first, hold them.
+    """
+    found = _listing(n, k, require_all_letters)
+    # Each entry is a non-empty int tuple, so it passes the check: one C-level batch fills the counts slot.
     tuples = list(map(OccurrenceTuple.__new__, repeat(OccurrenceTuple, len(found))))
     deque(map(OccurrenceTuple.counts.__set__, tuples, found), maxlen=0)
     return tuples

@@ -120,8 +120,14 @@ def test_tuple_word_split_trace():
         # 50 M compositions: refused before the search
         (("exists", "--length", "10000", "--k", "3"), 2, "",
          "error: enumeration of C(10002, 2) compositions exceeds the budget\n"),
+        # The first tuple has a zero: it is read off the 2-letter list, with no search
+        (("exists", "--length", "8000", "--k", "3", "--max", "1"), 0, "0,1,7999\n", ""),
+        # 33.5 M tuples (1,1) placed among 8,191 zeros: refused before the search, even for one line
+        (("exists", "--length", "2", "--k", "8191", "--max", "1"), 2, "",
+         "error: enumeration of at least 33542145 tuples of 8191 entries exceeds the budget\n"),
     ],
-    ids=["verdict", "word", "find", "find-long-run", "find-over-budget", "exists", "exists-over-budget"],
+    ids=["verdict", "word", "find", "find-long-run", "find-over-budget", "exists", "exists-over-budget",
+         "exists-max-from-the-zero-block", "exists-over-entry-budget"],
 )
 def test_tuple_on_a_huge_total_finishes_within_two_seconds(args, code, stdout, stderr):
     start = time.perf_counter()
@@ -217,6 +223,18 @@ def test_exists():
     assert "1,2,4" in result.output.splitlines()
     result = run("exists", "--length", "7", "--k", "3", "--all-letters", "--max", "2")
     assert len(result.output.splitlines()) == 2
+
+
+@pytest.mark.parametrize("n, k, all_letters", [(60, 3, False), (20, 5, False), (12, 6, False), (60, 3, True), (5, 3, True)])
+def test_exists_max_prints_the_first_lines_of_the_full_listing(n, k, all_letters):
+    flag = ("--all-letters",) if all_letters else ()
+    full = run("exists", "--length", str(n), "--k", str(k), *flag)
+    lines = full.stdout.splitlines(keepends=True)
+    # 2-letter and (k-1)-letter zero blocks: the tuples that begin with k-2 zeros, and with one
+    blocks = [sum(line.startswith("0," * z) for line in lines) for z in (k - 2, 1)]
+    for limit in sorted({0, 1, *blocks, *(b + 1 for b in blocks), len(lines), len(lines) + 3}):
+        result = run("exists", "--length", str(n), "--k", str(k), *flag, "--max", str(limit))
+        assert (result.exit_code, result.stdout) == (full.exit_code, "".join(lines[:limit])), limit
 
 
 def test_apply_command():

@@ -41,7 +41,8 @@ from epiword import (
     t_operator,
     tuples_of_length,
 )
-from epiword.epichristoffel import _TRACE_CHUNK, _check_compositions, _parts, split_construction
+from epiword.epichristoffel import _MAX_PLACED_ENTRIES, _TRACE_CHUNK, _all_letters, _check_compositions, _listed
+from epiword.epichristoffel import _listing, _parts, _reduce, split_construction
 from epiword.morphisms import _images, apply
 from oracles import naive_admissibility, naive_construct, naive_epi_factorizations, naive_is_epichristoffel_word
 from oracles import naive_tuples_of_length
@@ -744,6 +745,67 @@ def test_enumeration_over_the_budget_is_refused_before_the_search(monkeypatch):
     with pytest.raises(WordLengthOverflow, match=r"^enumeration of C\(1000000000, 999999999\) compositions "):
         tuples_of_length(1, 10**9)
     assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("k, top", [(3, 60), (4, 30), (5, 20), (6, 12)])
+def test_the_tuples_that_begin_with_zero_are_zero_before_the_shorter_list(k, top):
+    for n in range(1, top + 1):
+        found = [p.counts for p in tuples_of_length(n, k)]
+        shorter = [(0, *p.counts) for p in tuples_of_length(n, k - 1)]
+        assert found[: len(shorter)] == shorter and all(found[len(shorter) :]), (n, k)
+        assert _listing(n, k, False, len(shorter)) == shorter  # that block alone, as `exists --max` reads it
+
+
+# Largest total compared under Hypothesis with the composition oracle, per k, past EXHAUSTIVE_TOTALS.
+SAMPLED_TOTALS = {3: 150, 4: 45, 5: 25}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(SAMPLED_TOTALS)), st.data(), st.booleans())
+def test_tuples_of_length_matches_the_composition_oracle_past_the_exhaustive_range(k, data, flag):
+    n = data.draw(st.integers(EXHAUSTIVE_TOTALS[k] + 1, SAMPLED_TOTALS[k]))
+    assert tuples_of_length(n, k, flag) == naive_tuples_of_length(n, k, flag)
+
+
+@pytest.mark.parametrize("n, k", [(40, 3), (25, 4), (16, 5), (11, 6)])
+def test_a_listing_makes_exactly_the_reductions_of_the_all_letter_lists_it_places(monkeypatch, n, k):
+    calls = []
+    real = _reduce
+
+    def recorded(counts, tie_break):
+        calls.append(tuple(counts))
+        return real(counts, tie_break)
+
+    monkeypatch.setattr("epiword.epichristoffel._reduce", recorded)
+    tuples_of_length(n, k)
+    listing, calls[:] = calls[:], []
+    for j in range(2, k + 1):  # one and two letters take no search
+        tuples_of_length(n, j, True)
+    assert listing == calls and calls
+
+
+# At n = 2 the list is (1,1) on each of C(k, 2) position pairs, k entries a tuple: k = 128 fits 2^20 entries.
+def test_enumeration_over_the_entry_budget_is_refused_before_the_search(monkeypatch):
+    assert len(tuples_of_length(2, 128)) == 8128
+    assert len(tuples_of_length(1, 1024)) == 1024  # exactly 2^20 entries
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("epiword.epichristoffel._reduce", fail)
+    monkeypatch.setattr("epiword.epichristoffel._orderings", fail)
+    for n, k, listed in [(2, 129, 8256), (2, 8191, 33_542_145), (1, 1025, 1025), (3, 300, 89_700)]:
+        start = time.perf_counter()
+        with pytest.raises(WordLengthOverflow, match=rf"^enumeration of at least {listed} tuples of {k} entries "):
+            tuples_of_length(n, k)
+        assert time.perf_counter() - start < 0.01
+    assert len(tuples_of_length(2, 129, True)) == 0  # no tuple with a zero is listed
+
+
+def test_the_entry_budget_keeps_the_largest_accepted_totals():
+    # The tuples with a zero at the edges: 15,552 / 180,432 / 220,300 / 501,840 / 265,335 entries.
+    for k, n in LARGEST_ACCEPTED_TOTALS.items():
+        assert k * _listed([_all_letters(n, j) for j in range(1, k)], k) <= _MAX_PLACED_ENTRIES, (n, k)
 
 
 def test_occurrence_tuple_parse():
