@@ -7,35 +7,25 @@ The size rules are the library's, checked before anything of the refused
 output is written: word lengths in each module, word and Stern-Brocot trees in
 ``trees``, traces in ``epichristoffel``. Only the ``christoffel --draw`` grid
 is bounded here.
+
+Each command imports the library modules it runs when it runs, so a process
+loads only those: ``christoffel`` never loads the trees or the reduction.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import click
 
-from .christoffel import Slope, christoffel_word, path_labels, path_points, standard_factorization
-from .epichristoffel import _listing, _trace_pieces, admissibility, construct, split_construction
 from .errors import EpiwordError, WordLengthOverflow
-from .morphisms import apply as apply_morphisms
-from .morphisms import parse_morphisms
-from .trees import (
-    CLASSICAL_SEED,
-    TreeNode,
-    _check_sb_levels,
-    _check_word_tree,
-    _preorder,
-    _walk_to_tuple,
-    christoffel_tree,
-    diagonal,
-    epichristoffel_tree,
-    sb_level_stream,
-)
 from .words import MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, default_alphabet, parikh
+
+if TYPE_CHECKING:
+    from .christoffel import Slope
+    from .trees import TreeNode
 
 
 def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
@@ -44,6 +34,8 @@ def _alphabet_for(k: int, symbols: str | None) -> Alphabet:
 
 def _seed(root_counts: str | None, symbols: str | None) -> tuple:
     """The classical fraction seed, or the split tuples of the epi tree rooted at ROOT_COUNTS."""
+    from .trees import CLASSICAL_SEED, epichristoffel_tree
+
     if root_counts is None:
         if symbols is not None:
             raise ValueError("--alphabet needs --root")
@@ -62,6 +54,10 @@ def _write(pieces: Iterable[str]) -> None:
 
 def _word_tree_pieces(root: TreeNode, depth: int, fmt: str, alphabet: Alphabet) -> Iterator[str]:
     """A word tree as text, dot, or json as ``json.dumps`` writes {alphabet, root: {u, v, tuple, children}}."""
+    import json
+
+    from .trees import _preorder
+
     head = f'{{"alphabet": {json.dumps(alphabet.symbols)}, "root": '
     yield {"text": "", "dot": "digraph tree {\n", "json": head}[fmt]
     for entering, u, v, path in _preorder(str(root.u), str(root.v), depth):
@@ -82,6 +78,8 @@ def _word_tree_pieces(root: TreeNode, depth: int, fmt: str, alphabet: Alphabet) 
 
 def _sb_pieces(levels: Iterable, fmt: str) -> Iterator[str]:
     """The text, dot or json form of Stern-Brocot levels, a level at a time."""
+    import json
+
     yield {"text": "", "json": '{"levels": [', "dot": "digraph sb {\n"}[fmt]
     for level in levels:
         if fmt == "text":
@@ -101,6 +99,8 @@ def _sb_pieces(levels: Iterable, fmt: str) -> Iterator[str]:
 
 
 def _draw_path(slope: Slope) -> str:
+    from .christoffel import path_points
+
     cells = (slope.a + 1) * (slope.b + 1)
     if cells > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"drawing of {cells} cells exceeds the budget")
@@ -139,6 +139,8 @@ def christoffel_cmd(
     a: int, b: int, factorize: bool, labels: bool, draw: bool, fmt: str, symbols: str | None
 ) -> None:
     """Christoffel word of slope A/B."""
+    from .christoffel import Slope, christoffel_word, path_labels, standard_factorization
+
     alphabet = _alphabet_for(2, symbols)
     if alphabet.size != 2:
         raise ValueError("christoffel words need a two-letter alphabet")
@@ -147,6 +149,8 @@ def christoffel_cmd(
     split = standard_factorization(slope, alphabet) if factorize else None
     label_seq = path_labels(slope, alphabet) if labels else None
     if fmt == "json":
+        import json
+
         payload: dict = {"slope": str(slope), "word": str(word)}
         if split:
             payload["factorization"] = [str(split[0]), str(split[1])]
@@ -174,6 +178,8 @@ def christoffel_cmd(
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, symbols: str | None) -> None:
     """Admissibility verdict for the occurrence tuple COUNTS (e.g. 1,2,4)."""
+    from .epichristoffel import _trace_pieces, admissibility, construct, split_construction
+
     p = OccurrenceTuple.parse(counts)
     alphabet = _alphabet_for(p.k, symbols)
     if alphabet.size < p.k:
@@ -205,6 +211,8 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: str | None) -> None:
     """Emit a tree of the chosen KIND."""
+    from .trees import _check_sb_levels, _check_word_tree, christoffel_tree, epichristoffel_tree, sb_level_stream
+
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if kind == "sb":
@@ -233,6 +241,8 @@ def tree_cmd(kind: str, root_counts: str | None, depth: int, fmt: str, symbols: 
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def find_cmd(root_counts: str, target_counts: str, symbols: str | None) -> None:
     """Path from the tree root to TARGET and the word found there."""
+    from .trees import _walk_to_tuple
+
     p = OccurrenceTuple.parse(root_counts)
     target = OccurrenceTuple.parse(target_counts)
     path, node = _walk_to_tuple(p, target, _alphabet_for(p.k, symbols))
@@ -247,6 +257,8 @@ def find_cmd(root_counts: str, target_counts: str, symbols: str | None) -> None:
 @click.option("--max", "limit", type=int, default=None, help="Print at most this many tuples.")
 def exists_cmd(n: int, k: int, all_letters: bool, limit: int | None) -> None:
     """List admissible K-tuples whose entries sum to LENGTH."""
+    from .epichristoffel import _listing
+
     if n < 1 or k < 2:
         raise ValueError("need --length >= 1 and --k >= 2")
     if limit is not None and limit < 0:
@@ -263,6 +275,9 @@ def exists_cmd(n: int, k: int, all_letters: bool, limit: int | None) -> None:
 @click.option("--alphabet", "symbols", default="xyz", show_default=True)
 def apply_cmd(morphisms: str, word: str, symbols: str) -> None:
     """Apply a morphism sequence such as "psi_y psi_z psi_y" to WORD."""
+    from .morphisms import apply as apply_morphisms
+    from .morphisms import parse_morphisms
+
     alphabet = _alphabet_for(len(symbols), symbols)
     seq = parse_morphisms(morphisms, alphabet)
     click.echo(str(apply_morphisms(seq, alphabet.word(word))))
@@ -280,6 +295,8 @@ def diagonal_cmd(side: str, k: int, count: int, root_counts: str | None, symbols
     Each entry comes from Stern's diatomic sequence: O(log K + COUNT)
     integer steps in all, with no tree level built, whatever the size of K.
     """
+    from .trees import diagonal, sb_level_stream
+
     if k < 1 or count < 1:
         raise ValueError("need --k >= 1 and --count >= 1")
     seed = _seed(root_counts, symbols)

@@ -244,10 +244,7 @@ def _parts(trace: TTrace, k: int, lyndon: bool) -> tuple[str, str]:
     |Pal(w)| + 1 <= |u| + |v| for every c, and an image under fewer atoms is
     no longer. A unit tuple has no atom, so no split.
     """
-    if not trace.runs:
-        raise TrivialTupleError("unit tuples have no two-factor split")
-    # The innermost run is one step that breaks the tie (1, 1) of a and t: any other run into a unit vector stops at it.
-    *outer, (a, _) = trace.runs
+    outer, a = _outer_runs(trace)
     if lyndon:
         letters = sorted((a, trace.terminal))
         lows = list(accumulate(reversed([b for b, _ in outer]), min, initial=letters[0]))[::-1]
@@ -258,9 +255,32 @@ def _parts(trace: TTrace, k: int, lyndon: bool) -> tuple[str, str]:
     return img[letters[0]], img[letters[1]]
 
 
-def _split(trace: TTrace, alphabet: Alphabet) -> CanonicalSplit:
-    """The canonical split of admissible ``trace``'s c-word (``_parts``), each part's letters counted once."""
-    u, v = _parts(trace, alphabet.size, False)
+def _outer_runs(trace: TTrace) -> tuple[list[tuple[int, int]], int]:
+    """The runs of admissible ``trace`` but the innermost atom Psi_a, and a; a unit tuple has neither."""
+    if not trace.runs:
+        raise TrivialTupleError("unit tuples have no two-factor split")
+    # The innermost run is one step that breaks the tie (1, 1) of a and t: any other run into a unit vector stops at it.
+    *outer, (a, _) = trace.runs
+    return outer, a
+
+
+def _split_length(trace: TTrace, k: int) -> int:
+    """|u| of the canonical split of admissible ``trace``'s c-word (``_parts``), by integer arithmetic on its runs.
+
+    With L(c) the length of c's image under the runs so far, outermost first, a run Psi_b^q maps every other
+    letter c to b^q c: it adds q*L(b) to L(c) and keeps L(b). u is the image of a under the outer runs.
+    """
+    outer, a = _outer_runs(trace)
+    lengths = [1] * k
+    for b, q in outer:
+        step = q * lengths[b]
+        lengths = [n + step for n in lengths]
+        lengths[b] -= step
+    return lengths[a]
+
+
+def _split(trace: TTrace, alphabet: Alphabet, u: str, v: str) -> CanonicalSplit:
+    """The canonical split of admissible ``trace``'s c-word from the codes of its parts, their letters counted once."""
     u_tuple, v_tuple = _code_counts(u, alphabet.size), _code_counts(v, alphabet.size)
     assert u_tuple + v_tuple == trace.start, f"the split lost counts for {trace.start}"
     return CanonicalSplit(Word._trusted(u, alphabet), Word._trusted(v, alphabet), u_tuple, v_tuple)
@@ -307,15 +327,20 @@ def canonical_split(
 
     With atoms f1..fl and terminal letter t, u is the image of fl's letter
     and v the image of t under f1..f(l-1); then u*v is the constructed word.
-    One reduction and one image pass (``_split``): no c-word, no Lyndon image, no rotation search.
+    One reduction and one image pass (``_parts``): no c-word, no Lyndon image, no rotation search.
     """
     trace, alphabet = _admitted(p, alphabet, tie_break)
-    return _split(trace, alphabet)
+    return _split(trace, alphabet, *_parts(trace, alphabet.size, False))
 
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
-    """The canonical split of a built construction, from its trace by one image pass (``_split``), with no reduction."""
-    return _split(result.trace, result.c_word.alphabet)
+    """The canonical split of a built construction: its c-word cut where its trace's runs put |u| (``_split_length``).
+
+    No reduction and no image pass: O(k*runs) integer steps, then one count of each part's letters.
+    """
+    c, alphabet = result.c_word._code, result.c_word.alphabet
+    cut = _split_length(result.trace, alphabet.size)
+    return _split(result.trace, alphabet, c[:cut], c[cut:])
 
 
 def _epichristoffel_parts(w: Word) -> tuple[str, tuple[str, ...] | None]:

@@ -9,7 +9,9 @@ also the (conceptually infinite) tree hanging below it. The size rules live
 here, and the CLI runs the same ones: a word tree's letters and longest node
 word, and a Stern-Brocot tree's entries, are checked from closed forms before
 any work. One preorder walk serves the CLI and ``tree_levels``; siblings share
-the uv it builds once.
+the uv it builds once. The three functions that run the reduction or the
+Christoffel walk read those modules off the package, which imports each on
+first use, so the Christoffel and Stern-Brocot trees load none of them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from math import gcd
 from operator import add
-from typing import Callable, Iterable, Iterator, Literal, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Sequence, Union
 
-from .christoffel import _tree_walk
-from .epichristoffel import TieBreak, _root, epi_factorizations, is_epichristoffel_word
+import epiword  # its submodules load on first read (epiword.__getattr__), then read as plain attributes
+
 from .errors import DimensionMismatchError, NotInTreeError, WordLengthOverflow
 from .words import BINARY, MAX_WORD_LENGTH, Alphabet, OccurrenceTuple, Word, parikh
+
+if TYPE_CHECKING:
+    from .epichristoffel import TieBreak
 
 Side = Literal["L", "R"]
 
@@ -280,7 +285,7 @@ def epichristoffel_tree(
     p: OccurrenceTuple, alphabet: Alphabet | None = None, tie_break: TieBreak = "recent"
 ) -> TreeNode:
     """Root (u, v) of the epichristoffel tree for an admissible tuple, uv its epichristoffel word (``_root``)."""
-    return TreeNode(*_root(p, alphabet, tie_break))
+    return TreeNode(*epiword.epichristoffel._root(p, alphabet, tie_break))
 
 
 def tree_levels(root: TreeNode, depth: int) -> list[list[TreeNode]]:
@@ -486,7 +491,7 @@ def _walk_to_tuple(
         raise NotInTreeError(f"{target} needs coprime positive coefficients, got ({alpha}, {beta})")
     if target.total() > MAX_WORD_LENGTH:
         raise WordLengthOverflow(f"word of length {target.total()} exceeds the budget")
-    runs, u, v = _tree_walk(root.u._code, root.v._code, alpha, beta)
+    runs, u, v = epiword.christoffel._tree_walk(root.u._code, root.v._code, alpha, beta)
     path: list[Side] = list("".join(side * q for side, q in runs))
     node = TreeNode(Word._trusted(u, root.u.alphabet), Word._trusted(v, root.v.alphabet))
     assert parikh(node.word) == target
@@ -552,16 +557,17 @@ def classify_factorizability(
     if it is not the level's last node or the root's v is one. Each spine word's one candidate cut is its tree
     root (``epi_factorizations``), so building the levels costs more than the verdicts.
     """
+    epi = epiword.epichristoffel
     root = epichristoffel_tree(root_tuple, alphabet)
     levels = tree_levels(root, depth)
-    v_epi = is_epichristoffel_word(root.v)
+    v_epi = epi.is_epichristoffel_word(root.v)
     entries = tuple(
         NodeClassification(node, True, v_epi or i < len(level) - 1)
         for level in levels
         for i, node in enumerate(level)
     )
     spine_words = tuple(level[-1].word for level in levels)
-    spine_free = None if v_epi else all(epi_factorizations(word) == [] for word in spine_words)
+    spine_free = None if v_epi else all(epi.epi_factorizations(word) == [] for word in spine_words)
     return FactorizabilityReport(root, entries, spine_words, spine_free)
 
 

@@ -103,6 +103,36 @@ def test_tuple_word_split_trace():
     assert result.output == "c: yzyyzyx / epi: xyzyyzy\n(yzy, yzyx)\n"
 
 
+def test_tuple_word_and_split_take_two_image_passes(monkeypatch):
+    """The c-word and its Lyndon conjugate take one image pass each; the split is the c-word cut, not a third pass."""
+    from epiword.epichristoffel import _images
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _images(*args, **kwargs)
+
+    monkeypatch.setattr("epiword.epichristoffel._images", counting)
+    for args, stdout in [
+        (("1,2,4", "--word", "--split"), "c: zyzzyzx / epi: xzyzzyz\n(zyz, zyzx)\n"),
+        (("13,8", "--word", "--split"),
+         "c: xyxxyxyxxyxxyxyxxyxxy / epi: xxyxxyxyxxyxxyxyxxyxy\n(xyxxyxyx, xyxxyxyxxyxxy)\n"),
+        (("1,2,4", "--split"), "(zyz, zyzx)\n"),
+    ]:
+        calls.clear()
+        result = run("tuple", *args)
+        assert (result.exit_code, result.stdout) == (0, stdout)
+        assert len(calls) == 2, args
+    calls.clear()
+    result = run("tuple", "1,1,200000", "--word", "--split")
+    # 600,023 bytes, byte for byte the output the console-script check pins
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "b8565aee61a682b4545aaf0fe5b3d0c2e5b25ce4c900b3339e8010bb44f66454"
+    )
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "args, code, stdout, stderr",
     [
@@ -469,7 +499,7 @@ def test_sb_tree_over_the_entry_budget_exits_2_before_any_level(monkeypatch):
         built.append(seed)
         return iter(())
 
-    monkeypatch.setattr("epiword.cli.sb_level_stream", recording)
+    monkeypatch.setattr("epiword.trees.sb_level_stream", recording)
     # Depth 20 holds 2^20 - 1 entries, inside the budget of MAX_WORD_LENGTH = 2^20; depth 21 does not.
     assert run("tree", "sb", "--depth", "20").exit_code == 0
     assert built == [CLASSICAL_SEED]

@@ -434,13 +434,13 @@ def test_canonical_split_builds_no_construction(monkeypatch):
 BUILT_124 = construct(T((1, 2, 4)))
 
 
-# Each entry point reads its words off one shared image pass (_parts): (reductions, image passes).
+# Each entry point reads its words off one shared image pass (_parts), or cuts a built word: (reductions, image passes).
 @pytest.mark.parametrize(
     "call, passes",
     [
         pytest.param(lambda: construct(T((1, 2, 4))), (1, 2), id="construct"),
         pytest.param(lambda: canonical_split(T((1, 2, 4))), (1, 1), id="canonical_split"),
-        pytest.param(lambda: split_construction(BUILT_124), (0, 1), id="split_construction"),
+        pytest.param(lambda: split_construction(BUILT_124), (0, 0), id="split_construction"),
         pytest.param(lambda: epichristoffel_tree(T((1, 2, 4))), (1, 1), id="epichristoffel_tree"),
         pytest.param(lambda: is_epichristoffel_word(BUILT_124.epi_word), (1, 1), id="is_epichristoffel_word"),
         pytest.param(lambda: epi_factorizations(BUILT_124.epi_word), (2, 2), id="epi_factorizations"),

@@ -600,11 +600,13 @@ def test_factorizability_tests_one_word_per_report(monkeypatch):
         calls.append(w)
         return is_epichristoffel_word(w)
 
-    monkeypatch.setattr("epiword.trees.is_epichristoffel_word", counting)
+    monkeypatch.setattr("epiword.epichristoffel.is_epichristoffel_word", counting)
     report = classify_factorizability(T((1, 2, 4)), 12)
     assert len(report.nodes) == 8191
     # The root's u is its tuple's epichristoffel word by construction; testing both parts of every node made 16,382.
-    assert calls == [report.root.v]
+    # One test on the root's v, then one per right-spine word, inside epi_factorizations, on its root's v: the same v.
+    assert len(report.right_spine_words) == 13
+    assert calls == [report.root.v] * 14
 
 
 def test_factorizability_to_depth_12_takes_under_a_tenth_of_a_second():
