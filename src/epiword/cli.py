@@ -178,7 +178,7 @@ def christoffel_cmd(
 @click.option("--alphabet", "symbols", default=None, help="Alphabet symbols, e.g. xyz.")
 def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, symbols: str | None) -> None:
     """Admissibility verdict for the occurrence tuple COUNTS (e.g. 1,2,4)."""
-    from .epichristoffel import _trace_pieces, admissibility, construct, split_construction
+    from .epichristoffel import _construction, _trace_pieces, admissibility, split_construction
 
     p = OccurrenceTuple.parse(counts)
     alphabet = _alphabet_for(p.k, symbols)
@@ -187,8 +187,8 @@ def tuple_cmd(counts: str, show_trace: bool, show_word: bool, show_split: bool, 
     trace = admissibility(p)
     if (show_word or show_split) and not trace.admissible:
         raise ValueError(f"{p} is not admissible: {trace.rejection}")
-    if show_word or show_split:  # built before the first byte, so a refusal writes nothing
-        result = construct(p, alphabet)
+    if show_word or show_split:  # built from the verdict's trace before the first byte, so a refusal writes nothing
+        result = _construction(trace, alphabet)
         split = split_construction(result) if show_split else None
     if show_trace:
         _write(chain(_trace_pieces(trace, alphabet.symbols), ["\n"]))

@@ -201,9 +201,13 @@ def admissibility(p: OccurrenceTuple, tie_break: TieBreak = "recent") -> TTrace:
     return TTrace(p, tuple(runs), terminal, rejection)
 
 
-def _admitted(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) -> tuple[TTrace, Alphabet]:
-    """The trace of ``p`` and the alphabet to write its word in, once the word is known to exist and fit."""
-    trace = admissibility(p, tie_break)
+def _admitted(trace: TTrace, alphabet: Alphabet | None) -> tuple[TTrace, Alphabet]:
+    """``trace`` and the alphabet to write its word in, once the word is known to exist and fit.
+
+    Refused in this order: a rejected trace, an alphabet of other than k letters, a word over the budget.
+    The caller reduces, so a trace made for a verdict is admitted without a second reduction.
+    """
+    p = trace.start
     if not trace.admissible:
         raise NotAdmissibleError(f"no epichristoffel word for {p}: {trace.rejection}")
     if alphabet is None:
@@ -264,21 +268,6 @@ def _outer_runs(trace: TTrace) -> tuple[list[tuple[int, int]], int]:
     return outer, a
 
 
-def _split_length(trace: TTrace, k: int) -> int:
-    """|u| of the canonical split of admissible ``trace``'s c-word (``_parts``), by integer arithmetic on its runs.
-
-    With L(c) the length of c's image under the runs so far, outermost first, a run Psi_b^q maps every other
-    letter c to b^q c: it adds q*L(b) to L(c) and keeps L(b). u is the image of a under the outer runs.
-    """
-    outer, a = _outer_runs(trace)
-    lengths = [1] * k
-    for b, q in outer:
-        step = q * lengths[b]
-        lengths = [n + step for n in lengths]
-        lengths[b] -= step
-    return lengths[a]
-
-
 def _split(trace: TTrace, alphabet: Alphabet, u: str, v: str) -> CanonicalSplit:
     """The canonical split of admissible ``trace``'s c-word from the codes of its parts, their letters counted once."""
     u_tuple, v_tuple = _code_counts(u, alphabet.size), _code_counts(v, alphabet.size)
@@ -294,7 +283,7 @@ def _root(p: OccurrenceTuple, alphabet: Alphabet | None, tie_break: TieBreak) ->
     k = 2; for k >= 3 the epichristoffel-tree paper (arXiv 2507.15313) suggests it, checked at every cut for every
     tuple with entries below 80, 36, 12, 7, 5 for k = 2, 3, 4, 5, 6, under all three tie-breaks.
     """
-    trace, alphabet = _admitted(p, alphabet, tie_break)
+    trace, alphabet = _admitted(admissibility(p, tie_break), alphabet)
     u, v = _parts(trace, p.k, True)
     return Word._trusted(u, alphabet), Word._trusted(v, alphabet)
 
@@ -306,17 +295,23 @@ def construct(
 
     The word, the terminal letter's image under one ``Psi`` atom per reduction step, is its canonical split
     joined, and the epichristoffel word, the unique Lyndon representative of the class, its tree root joined:
-    two image passes over the trace's runs (``_parts``), in O(n + k*runs), with the atoms listed only when
-    ``morphisms`` is read. A unit tuple's word is its one letter. The offset of the rotation that gives the
-    epichristoffel word is found by one substring search.
+    one reduction, then two image passes over the trace's runs (``_parts``), in O(n + k*runs), with the atoms
+    listed only when ``morphisms`` is read. A unit tuple's word is its one letter. The offset of the rotation
+    that gives the epichristoffel word is found by one substring search.
     """
-    trace, alphabet = _admitted(p, alphabet, tie_break)
+    return _construction(admissibility(p, tie_break), alphabet)
+
+
+def _construction(trace: TTrace, alphabet: Alphabet | None) -> ConstructionResult:
+    """``construct`` from a trace already made: ``epiword tuple`` builds off its verdict's, one reduction per call."""
+    trace, alphabet = _admitted(trace, alphabet)
+    k = alphabet.size
     if trace.runs:
-        c, epi = "".join(_parts(trace, p.k, False)), "".join(_parts(trace, p.k, True))
+        c, epi = "".join(_parts(trace, k, False)), "".join(_parts(trace, k, True))
     else:
         c = epi = chr(trace.terminal)
     offset = (c + c).find(epi)
-    assert offset >= 0, f"the Lyndon image of {p} is not a rotation of its word"
+    assert offset >= 0, f"the Lyndon image of {trace.start} is not a rotation of its word"
     return ConstructionResult(Word._trusted(c, alphabet), trace.terminal, Word._trusted(epi, alphabet), offset, trace)
 
 
@@ -329,17 +324,19 @@ def canonical_split(
     and v the image of t under f1..f(l-1); then u*v is the constructed word.
     One reduction and one image pass (``_parts``): no c-word, no Lyndon image, no rotation search.
     """
-    trace, alphabet = _admitted(p, alphabet, tie_break)
+    trace, alphabet = _admitted(admissibility(p, tie_break), alphabet)
     return _split(trace, alphabet, *_parts(trace, alphabet.size, False))
 
 
 def split_construction(result: ConstructionResult) -> CanonicalSplit:
-    """The canonical split of a built construction: its c-word cut where its trace's runs put |u| (``_split_length``).
+    """The canonical split of a built construction: its c-word cut at |u|, u the image of a under the outer runs.
 
-    No reduction and no image pass: O(k*runs) integer steps, then one count of each part's letters.
+    No reduction and no letters built: |u| is one pass of the image loop on lengths, as ``apply`` runs it
+    (``_images``), O(k*runs) integer steps, then one count of each part's letters.
     """
     c, alphabet = result.c_word._code, result.c_word.alphabet
-    cut = _split_length(result.trace, alphabet.size)
+    outer, a = _outer_runs(result.trace)
+    cut = _images(outer, repeat(True), [a], [1] * alphabet.size)[a]
     return _split(result.trace, alphabet, c[:cut], c[cut:])
 
 
@@ -352,10 +349,10 @@ def _epichristoffel_parts(w: Word) -> tuple[str, tuple[str, ...] | None]:
         return s, (s,)
     if w.alphabet.size < 2:
         return s, None
-    try:
-        trace, _ = _admitted(_code_counts(s, w.alphabet.size), w.alphabet, "recent")
-    except NotAdmissibleError:
+    trace = admissibility(_code_counts(s, w.alphabet.size))
+    if not trace.admissible:
         return s, None
+    _admitted(trace, w.alphabet)  # a word over the budget is refused
     return s, _parts(trace, w.alphabet.size, True)
 
 

@@ -104,33 +104,41 @@ def test_tuple_word_split_trace():
 
 
 def test_tuple_word_and_split_take_two_image_passes(monkeypatch):
-    """The c-word and its Lyndon conjugate take one image pass each; the split is the c-word cut, not a third pass."""
-    from epiword.epichristoffel import _images
+    """One reduction per call, whose trace the word is built from: the c-word and its Lyndon conjugate take one
+    letter pass each, and the split is the c-word cut where one pass on lengths puts |u|, not a third letter pass."""
+    from epiword.epichristoffel import _images, admissibility
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return _images(*args, **kwargs)
+    def reducing(*args, **kwargs):
+        calls.append("admissibility")
+        return admissibility(*args, **kwargs)
 
-    monkeypatch.setattr("epiword.epichristoffel._images", counting)
-    for args, stdout in [
-        (("1,2,4", "--word", "--split"), "c: zyzzyzx / epi: xzyzzyz\n(zyz, zyzx)\n"),
+    def images(runs, fronts, read, units):
+        calls.append("letters" if all(isinstance(unit, str) for unit in units) else "lengths")
+        return _images(runs, fronts, read, units)
+
+    monkeypatch.setattr("epiword.epichristoffel.admissibility", reducing)
+    monkeypatch.setattr("epiword.epichristoffel._images", images)
+    for args, stdout, lengths in [
+        (("1,2,4", "--word", "--split"), "c: zyzzyzx / epi: xzyzzyz\n(zyz, zyzx)\n", 1),
         (("13,8", "--word", "--split"),
-         "c: xyxxyxyxxyxxyxyxxyxxy / epi: xxyxxyxyxxyxxyxyxxyxy\n(xyxxyxyx, xyxxyxyxxyxxy)\n"),
-        (("1,2,4", "--split"), "(zyz, zyzx)\n"),
+         "c: xyxxyxyxxyxxyxyxxyxxy / epi: xxyxxyxyxxyxxyxyxxyxy\n(xyxxyxyx, xyxxyxyxxyxxy)\n", 1),
+        (("1,2,4", "--split"), "(zyz, zyzx)\n", 1),
+        (("1,2,4", "--trace", "--word"),
+         "(1,2,4) ->z (1,2,1) ->y (1,0,1) ->z (1,0,0)\nadmissible\nc: zyzzyzx / epi: xzyzzyz\n", 0),
     ]:
         calls.clear()
         result = run("tuple", *args)
         assert (result.exit_code, result.stdout) == (0, stdout)
-        assert len(calls) == 2, args
+        assert (calls.count("admissibility"), calls.count("letters"), calls.count("lengths")) == (1, 2, lengths), args
     calls.clear()
     result = run("tuple", "1,1,200000", "--word", "--split")
     # 600,023 bytes, byte for byte the output the console-script check pins
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "b8565aee61a682b4545aaf0fe5b3d0c2e5b25ce4c900b3339e8010bb44f66454"
     )
-    assert len(calls) == 2
+    assert (calls.count("admissibility"), calls.count("letters"), calls.count("lengths")) == (1, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -567,8 +575,10 @@ def test_library_errors_exit_2_with_one_message(monkeypatch, args, stdout):
         (("tuple", "13,1", "--trace", "--split", "--alphabet", "xyz"),
          "error: alphabet size 3 does not match tuple length 2\n"),
         (("tuple", "1048576,13,1", "--trace", "--word"), "error: word of length 1048590 exceeds the budget\n"),
+        (("tuple", "2,3,7", "--trace", "--word"), "error: (2,3,7) is not admissible: negative entry\n"),
+        (("tuple", "2,3,7", "--split"), "error: (2,3,7) is not admissible: negative entry\n"),
     ],
-    ids=["split-alphabet", "word-over-budget"],
+    ids=["split-alphabet", "word-over-budget", "rejected-trace-word", "rejected-split"],
 )
 def test_trace_with_a_refused_word_or_split_writes_nothing(args, stderr):
     # The trace used to be written first: 151 bytes, and 1,343,794 bytes.

@@ -434,24 +434,30 @@ def test_canonical_split_builds_no_construction(monkeypatch):
 BUILT_124 = construct(T((1, 2, 4)))
 
 
-# Each entry point reads its words off one shared image pass (_parts), or cuts a built word: (reductions, image passes).
+# Each entry point reads its words off one shared image pass (_parts), or cuts a built word where one pass on lengths
+# puts |u|: (reductions, letter passes, length passes). A pass is a letter pass when its units are strings.
 @pytest.mark.parametrize(
     "call, passes",
     [
-        pytest.param(lambda: construct(T((1, 2, 4))), (1, 2), id="construct"),
-        pytest.param(lambda: canonical_split(T((1, 2, 4))), (1, 1), id="canonical_split"),
-        pytest.param(lambda: split_construction(BUILT_124), (0, 0), id="split_construction"),
-        pytest.param(lambda: epichristoffel_tree(T((1, 2, 4))), (1, 1), id="epichristoffel_tree"),
-        pytest.param(lambda: is_epichristoffel_word(BUILT_124.epi_word), (1, 1), id="is_epichristoffel_word"),
-        pytest.param(lambda: epi_factorizations(BUILT_124.epi_word), (2, 2), id="epi_factorizations"),
+        pytest.param(lambda: construct(T((1, 2, 4))), (1, 2, 0), id="construct"),
+        pytest.param(lambda: canonical_split(T((1, 2, 4))), (1, 1, 0), id="canonical_split"),
+        pytest.param(lambda: split_construction(BUILT_124), (0, 0, 1), id="split_construction"),
+        pytest.param(lambda: epichristoffel_tree(T((1, 2, 4))), (1, 1, 0), id="epichristoffel_tree"),
+        pytest.param(lambda: is_epichristoffel_word(BUILT_124.epi_word), (1, 1, 0), id="is_epichristoffel_word"),
+        pytest.param(lambda: epi_factorizations(BUILT_124.epi_word), (2, 2, 0), id="epi_factorizations"),
     ],
 )
 def test_each_entry_point_makes_its_reductions_and_image_passes(monkeypatch, call, passes):
     calls = []
+
+    def images(runs, fronts, read, units):
+        calls.append("letters" if all(isinstance(unit, str) for unit in units) else "lengths")
+        return _images(runs, fronts, read, units)
+
     monkeypatch.setattr("epiword.epichristoffel.admissibility", counting(calls, admissibility))
-    monkeypatch.setattr("epiword.epichristoffel._images", counting(calls, _images))
+    monkeypatch.setattr("epiword.epichristoffel._images", images)
     call()
-    assert (calls.count("admissibility"), calls.count("_images")) == passes, calls
+    assert (calls.count("admissibility"), calls.count("letters"), calls.count("lengths")) == passes, calls
 
 
 def test_construct_preserves_counts_for_all_admissible_tuples():
@@ -494,6 +500,21 @@ def test_is_c_epichristoffel_examples():
     assert is_c_epichristoffel(TERNARY.word("zyzzyzx"))
     assert is_c_epichristoffel(TERNARY.word("yzyyzyx"))
     assert not is_c_epichristoffel(BINARY.word("xxyy"))
+
+
+def test_word_predicates_refuse_an_admissible_word_over_the_budget(monkeypatch):
+    """Over the budget, admissible counts are refused before any pass; inadmissible ones still get their verdict."""
+    monkeypatch.setattr("epiword.epichristoffel.MAX_WORD_LENGTH", 6)
+    for word in ("xzyzzyz", "zyzzyzx"):  # (1,2,4): the epichristoffel word and its c-word
+        for predicate in (is_epichristoffel_word, is_c_epichristoffel, epi_factorizations):
+            with pytest.raises(WordLengthOverflow, match="^word of length 7 exceeds the budget$"):
+                predicate(TERNARY.word(word))
+    rejected = TERNARY.word("xxyyyzzzzzzz")  # (2,3,7) reaches a negative entry
+    assert not is_epichristoffel_word(rejected)
+    assert not is_c_epichristoffel(rejected)
+    with pytest.raises(NotEpichristoffelError):
+        epi_factorizations(rejected)
+    assert is_epichristoffel_word(TERNARY.word("x"))  # one letter needs no reduction
 
 
 def check_lyndon_words(p, rule):
